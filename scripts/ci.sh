@@ -61,6 +61,13 @@ echo "=== default preset: explicit-SIMD tier gate ==="
 # (all also in the full suite above).
 ctest --preset default -L simd
 
+echo "=== benchmark self-test (perfbench) ==="
+# The repository benchmark builds its own package over src/ and is not a
+# ctest target, so a library change that breaks its build or its
+# correctness gates would otherwise go unnoticed. Runs every workload at
+# the shortest length (a few minutes).
+python3 perfbench/test_perfbench.py
+
 echo "=== asan-ubsan preset: configure + build ==="
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$jobs"

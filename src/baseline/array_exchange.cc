@@ -1,5 +1,7 @@
 #include "baseline/array_exchange.h"
 
+#include <cstring>
+
 #include "common/error.h"
 
 namespace brickx::baseline {
@@ -50,6 +52,24 @@ int ordinal_of(const std::vector<BitSet>& dirs, const BitSet& d) {
     if (dirs[i] == d) return static_cast<int>(i);
   brickx::fail("direction missing from enumeration");
 }
+
+// Visit the axis-0 rows of `bx` in each of `fields` field-major slabs laid
+// out lexicographically over `frame` (slabs frame.volume() doubles apart),
+// in packed-buffer order: field 0's rows, then field 1's, ... Calls
+// `f(slab_off, buf_off, n)` with the row's double offset into the slabs and
+// into the packed buffer; both runs are contiguous.
+template <typename F>
+void for_each_packed_row(const Box<3>& frame, int fields, const Box<3>& bx,
+                         F&& f) {
+  const Vec3 ext = frame.extent();
+  const std::int64_t slab = frame.volume();
+  std::int64_t at = 0;
+  for (int fi = 0; fi < fields; ++fi)
+    for_each_row(bx, [&](const Vec3& lo, std::int64_t n) {
+      f(fi * slab + linearize(lo - frame.lo, ext), at, n);
+      at += n;
+    });
+}
 }  // namespace
 
 PackExchanger::PackExchanger(const Vec3& domain, std::int64_t ghost,
@@ -79,25 +99,26 @@ PackExchanger::PackExchanger(const Vec3& domain, std::int64_t ghost,
 std::size_t PackExchanger::pack(const CellArray3& field) {
   BX_CHECK(fields_ == 1,
            "single-field pack on a multi-field exchanger; pass ArrayFields");
-  std::size_t bytes = 0;
-  for (NMsg& m : msgs_) {
-    std::size_t at = 0;
-    for_each(m.sbox, [&](const Vec3& p) { m.sbuf[at++] = field.at(p); });
-    bytes += at * sizeof(double);
-  }
-  return bytes;
+  return pack_slabs(field.raw().data(), field.box());
 }
 
 std::size_t PackExchanger::pack(const ArrayFields& fields) {
   BX_CHECK(fields.fields() == fields_,
            "field count does not match the exchanger's");
+  return pack_slabs(fields.raw().data(), fields.box());
+}
+
+std::size_t PackExchanger::pack_slabs(const double* slabs,
+                                      const Box<3>& frame) {
   std::size_t bytes = 0;
   for (NMsg& m : msgs_) {
-    std::size_t at = 0;
-    for (int f = 0; f < fields_; ++f)
-      for_each(m.sbox,
-               [&](const Vec3& p) { m.sbuf[at++] = fields.at(f, p); });
-    bytes += at * sizeof(double);
+    for_each_packed_row(
+        frame, fields_, m.sbox,
+        [&](std::int64_t s, std::int64_t b, std::int64_t n) {
+          std::memcpy(m.sbuf.data() + b, slabs + s,
+                      static_cast<std::size_t>(n) * sizeof(double));
+        });
+    bytes += m.sbuf.size() * sizeof(double);
   }
   return bytes;
 }
@@ -150,25 +171,25 @@ void PackExchanger::finish(mpi::Comm& comm) {
 std::size_t PackExchanger::unpack(CellArray3& field) {
   BX_CHECK(fields_ == 1,
            "single-field unpack on a multi-field exchanger; pass ArrayFields");
-  std::size_t bytes = 0;
-  for (NMsg& m : msgs_) {
-    std::size_t at = 0;
-    for_each(m.rbox, [&](const Vec3& p) { field.at(p) = m.rbuf[at++]; });
-    bytes += at * sizeof(double);
-  }
-  return bytes;
+  return unpack_slabs(field.raw().data(), field.box());
 }
 
 std::size_t PackExchanger::unpack(ArrayFields& fields) {
   BX_CHECK(fields.fields() == fields_,
            "field count does not match the exchanger's");
+  return unpack_slabs(fields.raw().data(), fields.box());
+}
+
+std::size_t PackExchanger::unpack_slabs(double* slabs, const Box<3>& frame) {
   std::size_t bytes = 0;
   for (NMsg& m : msgs_) {
-    std::size_t at = 0;
-    for (int f = 0; f < fields_; ++f)
-      for_each(m.rbox,
-               [&](const Vec3& p) { fields.at(f, p) = m.rbuf[at++]; });
-    bytes += at * sizeof(double);
+    for_each_packed_row(
+        frame, fields_, m.rbox,
+        [&](std::int64_t s, std::int64_t b, std::int64_t n) {
+          std::memcpy(slabs + s, m.rbuf.data() + b,
+                      static_cast<std::size_t>(n) * sizeof(double));
+        });
+    bytes += m.rbuf.size() * sizeof(double);
   }
   return bytes;
 }

@@ -80,6 +80,11 @@ class PackExchanger {
     Box<3> sbox, rbox;
     std::vector<double> sbuf, rbuf;
   };
+  // Row-granular copies between field-major slabs over `frame` (fields_ of
+  // them) and the per-neighbor buffers; return bytes copied.
+  std::size_t pack_slabs(const double* slabs, const Box<3>& frame);
+  std::size_t unpack_slabs(double* slabs, const Box<3>& frame);
+
   int fields_ = 1;
   std::vector<NMsg> msgs_;
   PersistentSet pset_;

@@ -110,16 +110,19 @@ struct Box {
   bool operator==(const Box& o) const = default;
 };
 
-/// Iterate all positions of box `b` in lexicographic order (axis 0 fastest),
-/// calling `f(Vec<D>)`. Sender and receiver of an exchange both use this
-/// order, which is what makes region payloads position-independent.
+/// Iterate the axis-0 rows of box `b` in the same lexicographic order as
+/// for_each, calling `f(row_lo, n)` once per row for the n cells
+/// row_lo, row_lo + e0, ..., row_lo + (n-1)·e0. Axis 0 is contiguous in
+/// every lexicographic container, so host copy paths move each row as one
+/// run instead of resolving every cell separately.
 template <int D, typename F>
-void for_each(const Box<D>& b, F&& f) {
+void for_each_row(const Box<D>& b, F&& f) {
   if (b.empty()) return;
+  const std::int64_t n = b.hi[0] - b.lo[0];
   Vec<D> p = b.lo;
   while (true) {
-    f(p);
-    int i = 0;
+    f(static_cast<const Vec<D>&>(p), n);
+    int i = 1;
     while (i < D) {
       if (++p[i] < b.hi[i]) break;
       p[i] = b.lo[i];
@@ -127,6 +130,17 @@ void for_each(const Box<D>& b, F&& f) {
     }
     if (i == D) return;
   }
+}
+
+/// Iterate all positions of box `b` in lexicographic order (axis 0 fastest),
+/// calling `f(Vec<D>)`. Sender and receiver of an exchange both use this
+/// order, which is what makes region payloads position-independent.
+template <int D, typename F>
+void for_each(const Box<D>& b, F&& f) {
+  for_each_row(b, [&](const Vec<D>& lo, std::int64_t n) {
+    Vec<D> p = lo;
+    for (std::int64_t i = 0; i < n; ++i, ++p[0]) f(p);
+  });
 }
 
 template <int D>

@@ -16,7 +16,9 @@ template <int D>
 class CellArray {
  public:
   explicit CellArray(const Box<D>& box)
-      : box_(box), data_(static_cast<std::size_t>(box.volume()), 0.0) {}
+      : box_(box),
+        ext_(box.extent()),
+        data_(static_cast<std::size_t>(box.volume()), 0.0) {}
 
   [[nodiscard]] const Box<D>& box() const { return box_; }
 
@@ -24,15 +26,22 @@ class CellArray {
     return data_[index(p)];
   }
   [[nodiscard]] double at(const Vec<D>& p) const { return data_[index(p)]; }
+  /// Pointer to cell `p`; the cells p + k·e0 up to the box's axis-0 end
+  /// follow it contiguously (one for_each_row row).
+  [[nodiscard]] double* row(const Vec<D>& p) { return data_.data() + index(p); }
+  [[nodiscard]] const double* row(const Vec<D>& p) const {
+    return data_.data() + index(p);
+  }
 
   [[nodiscard]] std::vector<double>& raw() { return data_; }
   [[nodiscard]] const std::vector<double>& raw() const { return data_; }
 
  private:
   [[nodiscard]] std::size_t index(const Vec<D>& p) const {
-    return static_cast<std::size_t>(linearize(p - box_.lo, box_.extent()));
+    return static_cast<std::size_t>(linearize(p - box_.lo, ext_));
   }
   Box<D> box_;
+  Vec<D> ext_;
   std::vector<double> data_;
 };
 

@@ -78,6 +78,14 @@ class ArrayFields {
   [[nodiscard]] double at(int f, const Vec3& p) const {
     return field_base(f)[linearize(p - box_.lo, ext_)];
   }
+  /// Pointer to cell `p` of field f; the row p + k·e0 up to the box's
+  /// axis-0 end follows it contiguously.
+  [[nodiscard]] double* row(int f, const Vec3& p) {
+    return field_base(f) + linearize(p - box_.lo, ext_);
+  }
+  [[nodiscard]] const double* row(int f, const Vec3& p) const {
+    return field_base(f) + linearize(p - box_.lo, ext_);
+  }
 
   [[nodiscard]] std::vector<double>& raw() { return data_; }
   [[nodiscard]] const std::vector<double>& raw() const { return data_; }

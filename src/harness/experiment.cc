@@ -39,6 +39,31 @@ double init_val(const Vec3& g, int f = 0) {
   return static_cast<double>(h % 4096) / 4096.0;
 }
 
+/// Fill a lexicographic slab over `frame` with field f's initial values at
+/// global coordinates cell + `offset`, one axis-0 row at a time.
+void fill_init(double* slab, const Box<3>& frame, const Vec3& offset, int f) {
+  for_each_row(frame, [&](const Vec3& lo, std::int64_t n) {
+    Vec3 g = lo + offset;
+    for (std::int64_t i = 0; i < n; ++i, ++g[0]) *slab++ = init_val(g, f);
+  });
+}
+
+/// Whether every cell of `got` (over box `N` from the origin) equals the
+/// global reference `ref` at cell + `offset`; `got_row(lo)` points at the
+/// axis-0 row starting at lo.
+template <typename Row>
+bool matches_reference(const Vec3& N, Row&& got_row, const CellArray3& ref,
+                       const Vec3& offset) {
+  std::int64_t bad = 0;
+  for_each_row(Box<3>{{0, 0, 0}, N}, [&](const Vec3& lo, std::int64_t n) {
+    const double* a = got_row(lo);
+    const double* r = ref.row(lo + offset);
+    for (std::int64_t i = 0; i < n; ++i)
+      if (a[i] != r[i]) ++bad;
+  });
+  return bad == 0;
+}
+
 /// RAII for ranges registered with the GPU simulator by one rank.
 class GpuRegs {
  public:
@@ -504,9 +529,7 @@ Result run(const Config& cfg) {
       // Initialize the input fields from global coordinates.
       CellArray3 seed(Box<3>{{0, 0, 0}, N});
       for (int f = 0; f < cfg.fields; ++f) {
-        for_each(seed.box(), [&](const Vec3& p) {
-          seed.at(p) = init_val(p + offset, f);
-        });
+        fill_init(seed.raw().data(), seed.box(), offset, f);
         cells_to_bricks(*dec, seed, stores[0], f);
       }
 
@@ -573,14 +596,10 @@ Result run(const Config& cfg) {
           bricks_to_cells(*dec, stores[static_cast<std::size_t>(input)], f,
                           got);
           CellArray3 ref(Box<3>{{0, 0, 0}, global_ext});
-          for_each(ref.box(),
-                   [&](const Vec3& p) { ref.at(p) = init_val(p, f); });
+          fill_init(ref.raw().data(), ref.box(), Vec3{0, 0, 0}, f);
           stencil::evolve_reference(ref, total_steps, cfg.use125);
-          std::int64_t bad = 0;
-          for_each(got.box(), [&](const Vec3& p) {
-            if (got.at(p) != ref.at(p + offset)) ++bad;
-          });
-          if (bad != 0) return false;
+          const auto got_row = [&](const Vec3& p) { return got.row(p); };
+          if (!matches_reference(N, got_row, ref, offset)) return false;
         }
         return true;
       };
@@ -682,17 +701,12 @@ Result run(const Config& cfg) {
         brickx::fail("unsupported array-family method");
       }
 
+      // Ghost seeds are overwritten by the exchange.
       if (cfg.fields > 1) {
         for (int f = 0; f < cfg.fields; ++f)
-          for_each(afields[0].box(), [&](const Vec3& p) {
-            // ghost seeds are overwritten by exchange
-            afields[0].at(f, p) = init_val(p + offset, f);
-          });
+          fill_init(afields[0].field_base(f), frame, offset, f);
       } else {
-        for_each(fields[0].box(), [&](const Vec3& p) {
-          Vec3 q = p + offset;  // ghost seeds are overwritten by exchange
-          fields[0].at(p) = init_val(q);
-        });
+        fill_init(fields[0].raw().data(), frame, offset, 0);
       }
 
       compute_fn = [&](const Box<3>& box) {
@@ -741,18 +755,13 @@ Result run(const Config& cfg) {
             cfg.warmup_exchanges * static_cast<int>(k) + cfg.timesteps;
         for (int f = 0; f < cfg.fields; ++f) {
           CellArray3 ref(Box<3>{{0, 0, 0}, global_ext});
-          for_each(ref.box(),
-                   [&](const Vec3& p) { ref.at(p) = init_val(p, f); });
+          fill_init(ref.raw().data(), ref.box(), Vec3{0, 0, 0}, f);
           stencil::evolve_reference(ref, total_steps, cfg.use125);
-          std::int64_t bad = 0;
-          for_each(Box<3>{{0, 0, 0}, N}, [&](const Vec3& p) {
-            const double got =
-                cfg.fields > 1
-                    ? afields[static_cast<std::size_t>(input)].at(f, p)
-                    : fields[static_cast<std::size_t>(input)].at(p);
-            if (got != ref.at(p + offset)) ++bad;
-          });
-          if (bad != 0) return false;
+          const auto got_row = [&](const Vec3& p) -> const double* {
+            const auto in = static_cast<std::size_t>(input);
+            return cfg.fields > 1 ? afields[in].row(f, p) : fields[in].row(p);
+          };
+          if (!matches_reference(N, got_row, ref, offset)) return false;
         }
         return true;
       };

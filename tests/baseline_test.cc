@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/cell_array.h"
+#include "core/field_set.h"
 #include "simmpi/cart.h"
 
 namespace brickx::baseline {
@@ -140,6 +144,102 @@ TEST(PackExchanger, RepeatedExchangesStable) {
     const int diag = cart.neighbor(BitSet{-1, -2, -3});
     EXPECT_EQ(f.at({-1, -1, -1}), static_cast<double>(diag));
   });
+}
+
+// Drives one PackExchanger on rank 0 whose every neighbor is rank 1; rank 1
+// is a plain message peer. It receives the raw send buffers, checks them
+// against a per-cell reference gather of each send box (field 0's cells,
+// then field 1's, ...), and answers with distinct receive buffers. Rank 0
+// then checks the unpacked frame against a per-cell reference scatter of
+// those buffers into an untouched copy. `at(field, f, p)` is the per-cell
+// accessor the references use.
+template <typename Field, typename At>
+void check_pack_unpack_against_reference(const Vec3& N, std::int64_t g,
+                                         int nfields, Field field, At&& at) {
+  const auto dirs = Cart<3>::all_directions();
+  const auto ordinal = [&](const BitSet& d) {
+    for (std::size_t i = 0; i < dirs.size(); ++i)
+      if (dirs[i] == d) return static_cast<int>(i);
+    return -1;
+  };
+  double seedv = 0.5;
+  for (auto& v : field.raw()) v = (seedv += 1.0);
+  Field orig = field;  // rank 1's reference reads this copy
+  // What rank 1 answers for direction v (rank 0's recv box of v).
+  const auto reply = [&](std::size_t v) {
+    std::vector<double> buf(static_cast<std::size_t>(
+        recv_box(dirs[v], N, g).volume() * nfields));
+    for (std::size_t i = 0; i < buf.size(); ++i)
+      buf[i] = -1.0 - static_cast<double>(v * 100000 + i);
+    return buf;
+  };
+
+  Runtime rt(2, NetModel{});
+  rt.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      PackExchanger ex(N, g, dirs, std::vector<int>(dirs.size(), 1), nfields);
+      Field want = field;
+      for (std::size_t v = 0; v < dirs.size(); ++v) {
+        const std::vector<double> buf = reply(v);
+        std::size_t k = 0;
+        for (int f = 0; f < nfields; ++f)
+          for_each(recv_box(dirs[v], N, g),
+                   [&](const Vec3& p) { at(want, f, p) = buf[k++]; });
+      }
+      const auto bytes = static_cast<std::size_t>(ex.send_byte_count());
+      EXPECT_EQ(ex.pack(field), bytes);
+      ex.start(comm);
+      ex.finish(comm);
+      EXPECT_EQ(ex.unpack(field), bytes);
+      EXPECT_EQ(std::memcmp(field.raw().data(), want.raw().data(),
+                            field.raw().size() * sizeof(double)),
+                0);
+      return;
+    }
+    std::vector<std::vector<double>> got(dirs.size()), replies(dirs.size());
+    std::vector<mpi::Request> reqs;
+    for (std::size_t v = 0; v < dirs.size(); ++v) {
+      got[v].resize(static_cast<std::size_t>(
+          send_box(dirs[v], N, g).volume() * nfields));
+      reqs.push_back(comm.irecv(got[v].data(), got[v].size() * sizeof(double),
+                                0, static_cast<int>(v)));
+    }
+    for (std::size_t v = 0; v < dirs.size(); ++v) {
+      // Rank 0 receives direction v under the tag of v's flip.
+      replies[v] = reply(v);
+      reqs.push_back(comm.isend(replies[v].data(),
+                                replies[v].size() * sizeof(double), 0,
+                                ordinal(dirs[v].flipped())));
+    }
+    comm.waitall(reqs);
+    for (std::size_t v = 0; v < dirs.size(); ++v) {
+      std::vector<double> ref;
+      for (int f = 0; f < nfields; ++f)
+        for_each(send_box(dirs[v], N, g),
+                 [&](const Vec3& p) { ref.push_back(at(orig, f, p)); });
+      ASSERT_EQ(got[v].size(), ref.size());
+      EXPECT_EQ(std::memcmp(got[v].data(), ref.data(),
+                            ref.size() * sizeof(double)),
+                0)
+          << "direction " << v;
+    }
+  });
+}
+
+TEST(PackExchanger, RowCopiesMatchPerCellReferenceSingleField) {
+  const Vec3 N{12, 10, 6};
+  const std::int64_t g = 3;
+  check_pack_unpack_against_reference(
+      N, g, 1, CellArray3(Box<3>{Vec3::fill(-g), N + Vec3::fill(g)}),
+      [](auto& a, int, const Vec3& p) -> auto& { return a.at(p); });
+}
+
+TEST(PackExchanger, RowCopiesMatchPerCellReferenceMultiField) {
+  const Vec3 N{12, 10, 6};
+  const std::int64_t g = 3;
+  check_pack_unpack_against_reference(
+      N, g, 3, ArrayFields(Box<3>{Vec3::fill(-g), N + Vec3::fill(g)}, 3),
+      [](auto& a, int f, const Vec3& p) -> auto& { return a.at(f, p); });
 }
 
 }  // namespace

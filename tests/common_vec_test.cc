@@ -79,5 +79,52 @@ TEST(Box, ForEachCoversExactlyOnce) {
   EXPECT_EQ(static_cast<std::int64_t>(seen.size()), b.volume());
 }
 
+// Expand for_each_row's rows into cells; they must be exactly for_each's
+// cells in for_each's order, with every row spanning the box's axis 0.
+template <int D>
+void expect_rows_match_cells(const Box<D>& b) {
+  std::vector<Vec<D>> cells, from_rows;
+  for_each(b, [&](const Vec<D>& p) { cells.push_back(p); });
+  std::int64_t rows = 0;
+  for_each_row(b, [&](const Vec<D>& lo, std::int64_t n) {
+    ++rows;
+    EXPECT_EQ(lo[0], b.lo[0]);
+    EXPECT_EQ(n, b.hi[0] - b.lo[0]);
+    Vec<D> p = lo;
+    for (std::int64_t i = 0; i < n; ++i, ++p[0]) from_rows.push_back(p);
+  });
+  EXPECT_EQ(from_rows, cells);
+  const std::int64_t len = b.hi[0] - b.lo[0];
+  EXPECT_EQ(rows, b.empty() ? 0 : b.volume() / len);
+}
+
+TEST(Box, ForEachRowMatchesForEach) {
+  expect_rows_match_cells(Box<1>{{-3}, {5}});
+  expect_rows_match_cells(Box<1>{{2}, {3}});
+  expect_rows_match_cells(Box<2>{{1, 2}, {3, 4}});
+  expect_rows_match_cells(Box<2>{{-4, -1}, {5, 3}});
+  expect_rows_match_cells(Box<3>{{0, 1, 2}, {3, 4, 5}});
+  expect_rows_match_cells(Box<3>{{-2, -3, -1}, {1, 2, 3}});
+  expect_rows_match_cells(Box<4>{{-1, 0, -2, 1}, {3, 2, 1, 4}});
+}
+
+TEST(Box, ForEachRowOneWideBoxes) {
+  expect_rows_match_cells(Box<3>{{4, 0, 0}, {5, 3, 2}});  // 1-wide axis 0
+  expect_rows_match_cells(Box<3>{{0, 4, 0}, {3, 5, 2}});  // 1-wide axis 1
+  expect_rows_match_cells(Box<3>{{0, 0, 4}, {3, 2, 5}});  // 1-wide axis 2
+  expect_rows_match_cells(Box<4>{{7, 7, 7, 7}, {8, 8, 8, 8}});  // one cell
+}
+
+TEST(Box, ForEachRowSkipsEmptyBoxes) {
+  int rows = 0;
+  const auto count = [&](const auto&, std::int64_t) { ++rows; };
+  for_each_row(Box<1>{{3}, {3}}, count);
+  for_each_row(Box<2>{{3, 0}, {3, 5}}, count);       // empty axis 0
+  for_each_row(Box<3>{{0, 0, 2}, {4, 4, 2}}, count);  // empty last axis
+  for_each_row(Box<4>{{0, 5, 0, 0}, {2, 2, 2, 2}}, count);  // inverted
+  EXPECT_EQ(rows, 0);
+  expect_rows_match_cells(Box<3>{{0, 0, 2}, {4, 4, 2}});
+}
+
 }  // namespace
 }  // namespace brickx
