@@ -77,11 +77,6 @@ inline harness::Config strong_config(const model::Machine& machine,
   cfg.timesteps = use125 ? 4 : 8;
   cfg.warmup_exchanges = 1;
   cfg.execute_kernels = false;
-  // One in-process rank per "MPI rank": keep live mmap segments under
-  // vm.max_map_count by switching MemMap to its byte-exact floor proxy at
-  // high rank counts (see DESIGN.md).
-  if (m == harness::Method::MemMap && ranks * 200 > 60000)
-    cfg.memmap_floor_proxy = true;
   return cfg;
 }
 

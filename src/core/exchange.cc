@@ -236,7 +236,7 @@ template class Exchanger<4>;
 template <int D>
 NetworkFloorExchanger<D>::NetworkFloorExchanger(
     const BrickDecomp<D>& dec, const BrickStorage& storage,
-    const std::vector<int>& neighbor_ranks, bool padded) {
+    const std::vector<int>& neighbor_ranks) {
   const auto& nbrs = dec.neighbor_order();
   BX_CHECK(neighbor_ranks.size() == nbrs.size(),
            "neighbor rank table does not match the decomposition");
@@ -250,7 +250,7 @@ NetworkFloorExchanger<D>::NetworkFloorExchanger(
     for (const auto& g : plan_send_groups(dec, storage, nbrs[v], true))
       for (int o : g) {
         const auto& c = storage.chunks()[static_cast<std::size_t>(o)];
-        send_bytes[v] += padded ? c.padded_bytes : c.bytes;
+        send_bytes[v] += c.bytes;
       }
     total += 2 * send_bytes[v];  // send half + recv half
   }

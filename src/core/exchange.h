@@ -117,14 +117,8 @@ class Exchanger {
 template <int D>
 class NetworkFloorExchanger {
  public:
-  /// With `padded` set, per-neighbor volumes use the storage's page-padded
-  /// chunk sizes — making the floor byte-identical to a MemMap view
-  /// exchange. This doubles as a MemMap timing proxy when per-view mmap
-  /// segments would exceed vm.max_map_count (large in-process rank counts;
-  /// see DESIGN.md).
   NetworkFloorExchanger(const BrickDecomp<D>& dec, const BrickStorage& storage,
-                        const std::vector<int>& neighbor_ranks,
-                        bool padded = false);
+                        const std::vector<int>& neighbor_ranks);
 
   /// Bind the per-neighbor scratch wires to persistent requests.
   void make_persistent(mpi::Comm& comm);

@@ -9,7 +9,8 @@ namespace brickx {
 
 template <int D>
 ExchangeView<D>::ExchangeView(const BrickDecomp<D>& dec, BrickStorage& storage,
-                              const std::vector<int>& neighbor_ranks) {
+                              const std::vector<int>& neighbor_ranks,
+                              bool alias_storage) {
   obs::ObsSpan span(obs::Cat::MmapSetup, "exchange_view_build");
   BX_CHECK(storage.file() != nullptr,
            "MemMap exchange requires mmap_alloc'd (memfd) storage");
@@ -19,6 +20,13 @@ ExchangeView<D>::ExchangeView(const BrickDecomp<D>& dec, BrickStorage& storage,
   BX_CHECK(neighbor_ranks.size() == nbrs.size(),
            "neighbor rank table does not match the decomposition");
   const auto& chunks = storage.chunks();
+  // Views are built after the scan, in scan order, so unmapped ones can be
+  // carved from a single buffer sized to their total.
+  struct Pending {
+    bool send;
+    mm::ViewBuilder b;
+  };
+  std::vector<Pending> pending;
 
   for (std::size_t v = 0; v < nbrs.size(); ++v) {
     const BitSet& nu = nbrs[v];
@@ -42,8 +50,8 @@ ExchangeView<D>::ExchangeView(const BrickDecomp<D>& dec, BrickStorage& storage,
       payload_bytes_ += static_cast<std::int64_t>(c.bytes);
     }
     if (sb.total() > 0) {
-      sends_.push_back(VWire{neighbor_ranks[v], static_cast<int>(v),
-                             sb.build()});
+      sends_.push_back(VWire{neighbor_ranks[v], static_cast<int>(v), {}});
+      pending.push_back({true, sb});
       send_regions_.push_back(std::move(sregions));
       send_sizes_.push_back(std::move(ssizes));
     }
@@ -66,8 +74,9 @@ ExchangeView<D>::ExchangeView(const BrickDecomp<D>& dec, BrickStorage& storage,
       }
     }
     if (rb.total() > 0) {
-      recvs_.push_back(VWire{neighbor_ranks[v],
-                             dec.neighbor_ordinal(nu.flipped()), rb.build()});
+      recvs_.push_back(
+          VWire{neighbor_ranks[v], dec.neighbor_ordinal(nu.flipped()), {}});
+      pending.push_back({false, rb});
       recv_regions_.push_back(std::move(rregions));
       recv_sizes_.push_back(std::move(rsizes));
     }
@@ -75,6 +84,20 @@ ExchangeView<D>::ExchangeView(const BrickDecomp<D>& dec, BrickStorage& storage,
              "send and receive views disagree in size");
     // Plan-cost tally: both builders scanned the region table once each.
     scanned_regions_ += static_cast<std::int64_t>(dec.regions().size());
+  }
+
+  std::size_t total = 0;
+  for (const Pending& p : pending) total += p.b.total();
+  // Left uninitialized: unmapped views carry timing, never ghost values,
+  // and zeroing would touch every view page on every plan build.
+  if (!alias_storage)
+    unmapped_ = std::make_unique_for_overwrite<std::byte[]>(total);
+  std::size_t si = 0, ri = 0, at = 0;
+  for (const Pending& p : pending) {
+    VWire& w = p.send ? sends_[si++] : recvs_[ri++];
+    w.view = alias_storage ? p.b.build()
+                           : p.b.build_unmapped(unmapped_.get() + at);
+    at += p.b.total();
   }
 }
 

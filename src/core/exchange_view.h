@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/decomp.h"
@@ -18,11 +20,18 @@ namespace brickx {
 /// Requires storage from BrickDecomp::mmap_alloc (memfd-backed, chunks
 /// padded to page boundaries). The views are built once and reused for the
 /// life of the communication pattern.
+///
+/// With `alias_storage = false` (timing-only runs, which never read a ghost
+/// byte) nothing is mmap'd: every view is a disjoint slice of one private
+/// buffer with the same size, segment table and partition table, so all
+/// accounting, plan costs and modeled timing are unchanged but messages no
+/// longer move storage bytes.
 template <int D>
 class ExchangeView {
  public:
   ExchangeView(const BrickDecomp<D>& dec, BrickStorage& storage,
-               const std::vector<int>& neighbor_ranks);
+               const std::vector<int>& neighbor_ranks,
+               bool alias_storage = true);
 
   /// Bind every view wire to a persistent request; later rounds replay via
   /// Persistent::start/wait on the resolved view spans.
@@ -71,7 +80,8 @@ class ExchangeView {
   /// Table 2's "increased network transfer from padding", in percent.
   [[nodiscard]] double padding_overhead_percent() const;
 
-  /// mmap segments this rank holds live (counts against vm.max_map_count).
+  /// File segments stitched into this rank's views (the live mmap segments
+  /// counted against vm.max_map_count when the views alias storage).
   [[nodiscard]] std::int64_t view_segment_count() const;
 
   /// Visit every underlying view (sends then receives) — used to register
@@ -88,6 +98,7 @@ class ExchangeView {
     int tag;
     mm::View view;
   };
+  std::unique_ptr<std::byte[]> unmapped_;  ///< backs the views unless aliased
   std::vector<VWire> sends_, recvs_;
   PersistentSet pset_;
   PartitionedSet part_;

@@ -206,7 +206,7 @@ Result run(const Config& cfg) {
            "manual staging is the packing baseline's workflow");
   BX_CHECK(!cfg.overlap ||
                (is_brick && cfg.method != Method::Shift &&
-                cfg.method != Method::Network && !cfg.memmap_floor_proxy),
+                cfg.method != Method::Network),
            "overlap is supported for the Basic/Layout/MemMap brick methods");
   BX_CHECK(!(cfg.overlap && cfg.plan == PlanMode::PerRound),
            "overlap requires a build-once plan: the dependency scheduler "
@@ -283,7 +283,6 @@ Result run(const Config& cfg) {
                                     : mpi::MemSpace::Unified;
     const bool staged = cfg.gpu == GpuMode::Staged;
 
-    GpuRegs regs(device ? &*device : nullptr);
     RankOut out;
 
     BX_CHECK(!cfg.overlap || k >= 2,
@@ -325,6 +324,10 @@ Result run(const Config& cfg) {
     std::vector<ArrayFields> afields;
     std::optional<baseline::PackExchanger> packer;
     std::optional<baseline::MpiTypesExchanger> typer;
+    // Declared after the memory it registers, so every range is
+    // unregistered before that memory is freed and can be reused (and
+    // registered) by another rank's allocation.
+    GpuRegs regs(device ? &*device : nullptr);
 
     if (is_brick) {
       dec.emplace(N, g, Vec3::fill(cfg.brick),
@@ -348,74 +351,14 @@ Result run(const Config& cfg) {
         if (cfg.gpu != GpuMode::None)
           regs.range(s.data(), s.bytes(), space);
       }
-      if (cfg.method == Method::MemMap && cfg.memmap_floor_proxy) {
-        // Byte-identical MemMap stand-in without live mmap segments.
-        // Accounting comes straight from the chunk table (building real
-        // views here would defeat the proxy's purpose).
-        floor.emplace(*dec, stores[0], ranks, /*padded=*/true);
-        for (const BitSet& nu : dec->neighbor_order()) {
-          std::int64_t wire = 0, payload = 0;
-          for (int o = 0; o < dec->surface_region_count(); ++o) {
-            const auto& rg = dec->regions()[static_cast<std::size_t>(o)];
-            if (!region_sent_to(rg.sigma, nu)) continue;
-            const auto& c = stores[0].chunks()[static_cast<std::size_t>(o)];
-            wire += static_cast<std::int64_t>(c.padded_bytes);
-            payload += static_cast<std::int64_t>(c.bytes);
-          }
-          if (wire > 0) ++out.msgs;
-          out.wire += wire;
-          out.payload += payload;
-        }
-        out.padding = out.payload
-                          ? 100.0 * static_cast<double>(out.wire - out.payload) /
-                                static_cast<double>(out.payload)
-                          : 0.0;
-        BX_CHECK(out.wire == floor->send_byte_count(),
-                 "floor proxy volume does not match the view exchange");
-        // Under unified memory the real views would fault the canonical
-        // chunk pages host-ward on send/receive; the scratch-based floor
-        // bypasses the hooks, so charge those touches explicitly to keep
-        // the proxy timing-faithful (page-aligned spans, so no
-        // fragmentation — exactly like the views).
-        start_fn = [&] {
-          if (cfg.gpu == GpuMode::Unified) {
-            double secs = 0;
-            for (int o = 0; o < dec->surface_region_count(); ++o) {
-              const auto& c = stores[0].chunks()[static_cast<std::size_t>(o)];
-              secs += device->touch_host(stores[0].data() + c.offset,
-                                         c.padded_bytes);
-            }
-            comm.compute(secs);
-          }
-          floor->start(comm);
-        };
-        finish_fn = [&] {
-          floor->finish(comm);
-          if (cfg.gpu == GpuMode::Unified) {
-            double secs = 0;
-            for (std::size_t o =
-                     static_cast<std::size_t>(dec->ghost_first_ordinal());
-                 o < dec->regions().size(); ++o) {
-              const auto& c = stores[0].chunks()[o];
-              secs += device->touch_host(stores[0].data() + c.offset,
-                                         c.padded_bytes);
-            }
-            comm.compute(secs);
-          }
-        };
-        bind_fn = [&] { floor->make_persistent(comm); };
-        // ranks is block-local: rebuild closures outlive it, so copy it in.
-        rebuild_fn = [&, ranks] {
-          floor.emplace(*dec, stores[0], ranks, /*padded=*/true);
-        };
-        plan_cost_fn = [&] { return floor->setup_cost(); };
-      } else if (cfg.method == Method::MemMap) {
+      if (cfg.method == Method::MemMap) {
         // Ghost-cell expansion gives an even steps-per-exchange, so only
         // stores[0] is ever on the exchanging side; building views for it
-        // alone halves the live mmap-segment footprint.
+        // alone halves the live mmap-segment footprint. Timing-only runs
+        // read no ghost byte, so their views are not mapped at all.
         BX_CHECK(stencil::steps_per_exchange(g, r) % 2 == 0,
                  "MemMap double buffering expects an even exchange period");
-        evs.emplace_back(*dec, stores[0], ranks);
+        evs.emplace_back(*dec, stores[0], ranks, execute);
         if (cfg.gpu == GpuMode::Unified) {
           // Views alias the canonical unified pages.
           evs.back().visit_views([&](const mm::View& v) {
@@ -459,7 +402,7 @@ Result run(const Config& cfg) {
           // stitching fresh ones (PerRound is CPU-only, so no GPU aliases
           // need re-registering).
           evs.clear();
-          evs.emplace_back(*dec, stores[0], ranks);
+          evs.emplace_back(*dec, stores[0], ranks, execute);
         };
         plan_cost_fn = [&] { return evs[0].setup_cost(); };
       } else if (cfg.method == Method::Shift) {

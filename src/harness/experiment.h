@@ -92,11 +92,10 @@ struct Config {
   /// flag above. When set it must be a valid 3-D layout and it wins over
   /// the flag.
   LayoutSpec layout{};
-  /// Replace MemMap's real mmap views with a byte-identical per-neighbor
-  /// scratch exchange. Needed when ranks*segments would exceed the
-  /// kernel's vm.max_map_count in a single-process simulation; timing- and
-  /// byte-exact, but ghosts are not actually delivered, so it implies
-  /// execute_kernels = false.
+  /// Force a timing-only run (execute_kernels = false); the tuned-artifact
+  /// schema and the tuner's canonical key carry it. Timing-only MemMap
+  /// runs build unmapped views (ExchangeView): they hold no live mmap
+  /// segment, and every modeled figure equals the executed run's.
   bool memmap_floor_proxy = false;
   /// Overlap communication with computation (brick methods except Shift):
   /// the interior — cells whose stencil inputs never touch the ghost

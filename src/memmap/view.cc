@@ -50,24 +50,25 @@ View::View(View&& o) noexcept
     : base_(std::exchange(o.base_, nullptr)),
       size_(std::exchange(o.size_, 0)),
       segments_(std::exchange(o.segments_, 0)),
+      mapped_(std::exchange(o.mapped_, false)),
       segment_map_(std::move(o.segment_map_)) {}
 
 View& View::operator=(View&& o) noexcept {
   if (this != &o) {
-    if (base_) {
-      munmap(base_, size_);
-      g_live_segments -= segments_;
-    }
+    release();
     base_ = std::exchange(o.base_, nullptr);
     size_ = std::exchange(o.size_, 0);
     segments_ = std::exchange(o.segments_, 0);
+    mapped_ = std::exchange(o.mapped_, false);
     segment_map_ = std::move(o.segment_map_);
   }
   return *this;
 }
 
-View::~View() {
-  if (base_) {
+View::~View() { release(); }
+
+void View::release() {
+  if (mapped_) {
     munmap(base_, size_);
     g_live_segments -= segments_;
   }
@@ -87,8 +88,7 @@ ViewBuilder& ViewBuilder::add(std::size_t offset, std::size_t length) {
 }
 
 View ViewBuilder::build() const {
-  View v;
-  if (total_ == 0) return v;
+  if (total_ == 0) return View{};
   // Reserve the contiguous range first so nothing else can land inside it,
   // then overwrite it segment by segment with MAP_FIXED file mappings.
   void* base = mmap(nullptr, total_, PROT_NONE,
@@ -106,15 +106,28 @@ View ViewBuilder::build() const {
     }
     at += s.length;
   }
-  v.base_ = static_cast<std::byte*>(base);
+  View v = describe(static_cast<std::byte*>(base), /*mapped=*/true);
+  g_live_segments += v.segments_;
+  return v;
+}
+
+View ViewBuilder::build_unmapped(std::byte* bytes) const {
+  if (total_ == 0) return View{};
+  BX_CHECK(bytes != nullptr, "unmapped view needs backing bytes");
+  return describe(bytes, /*mapped=*/false);
+}
+
+View ViewBuilder::describe(std::byte* base, bool mapped) const {
+  View v;
+  v.base_ = base;
   v.size_ = total_;
   v.segments_ = static_cast<std::int64_t>(segs_.size());
+  v.mapped_ = mapped;
   std::size_t vo = 0;
   for (const auto& s : segs_) {
     v.segment_map_.push_back({vo, s.offset, s.length});
     vo += s.length;
   }
-  g_live_segments += v.segments_;
   obs::instant(obs::Cat::MmapSetup, "view_build");
   obs::counter_add("mm.views_built", 1);
   obs::counter_add("mm.view_segments", v.segments_);

@@ -37,6 +37,9 @@ class Mapping {
 ///   b.add(pos6, len6);       // file offsets, page-aligned
 ///   b.add(pos1, len1);
 ///   View v = b.build();      // v.data() .. v.data()+v.size() is contiguous
+///
+/// A view from build_unmapped() has the same size and segment table but no
+/// mapping behind it: its bytes are caller-owned memory, not the file's.
 class View {
  public:
   View() = default;
@@ -50,8 +53,8 @@ class View {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool valid() const { return base_ != nullptr; }
 
-  /// Number of distinct mmap segments stitched into this view (counts
-  /// against the kernel's vm.max_map_count budget).
+  /// Number of file segments stitched into this view (for a mapped view,
+  /// what counts against the kernel's vm.max_map_count budget).
   [[nodiscard]] std::int64_t segments() const { return segments_; }
 
   /// Where each stitched segment came from — (offset within this view,
@@ -69,9 +72,12 @@ class View {
 
  private:
   friend class ViewBuilder;
+  void release();
+
   std::byte* base_ = nullptr;
   std::size_t size_ = 0;
   std::int64_t segments_ = 0;
+  bool mapped_ = false;  ///< base_ is our mapping (else caller-owned bytes)
   std::vector<SegmentInfo> segment_map_;
 };
 
@@ -92,7 +98,16 @@ class ViewBuilder {
   /// it. Throws brickx::Error on any mmap failure (e.g. vm.max_map_count).
   [[nodiscard]] View build() const;
 
+  /// The same view — size(), segments(), segment_map(), obs instant and
+  /// mm.* counters — over the total() caller-owned bytes at `bytes`
+  /// instead of a mapping: nothing is mmap'd and live_view_segments() is
+  /// untouched. The bytes do not alias the file, so this is only for runs
+  /// that never read ghost bytes; `bytes` must outlive the view.
+  [[nodiscard]] View build_unmapped(std::byte* bytes) const;
+
  private:
+  View describe(std::byte* base, bool mapped) const;
+
   const MemFile* file_;
   struct Seg {
     std::size_t offset, length;

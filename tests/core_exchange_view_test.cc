@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "core/cell_array.h"
 #include "core/exchange.h"
@@ -110,6 +115,60 @@ TEST(ExchangeViewTest, ViewsAliasStorageWithoutCopy) {
   // And the aliasing goes both ways.
   *reinterpret_cast<double*>(v.data()) = 77.25;
   EXPECT_EQ(store.brick(brick0)[0], 77.25);
+}
+
+TEST(ExchangeViewTest, UnmappedViewsMatchMappedOnesAndAreDisjoint) {
+  BrickDecomp<3> dec({16, 16, 16}, 4, {4, 4, 4}, surface3d());
+  BrickStorage store = dec.mmap_alloc(1, 16 * 1024);
+  std::vector<int> ranks(26, 0);
+  const ExchangeView<3> mapped(dec, store, ranks);
+  const std::int64_t live = mm::live_view_segments();
+  ExchangeView<3> ev(dec, store, ranks, /*alias_storage=*/false);
+  EXPECT_EQ(mm::live_view_segments(), live);
+
+  EXPECT_EQ(ev.send_message_count(), mapped.send_message_count());
+  EXPECT_EQ(ev.send_byte_count(), mapped.send_byte_count());
+  EXPECT_EQ(ev.payload_byte_count(), mapped.payload_byte_count());
+  EXPECT_EQ(ev.padding_overhead_percent(), mapped.padding_overhead_percent());
+  EXPECT_EQ(ev.view_segment_count(), mapped.view_segment_count());
+  const PlanCost a = ev.setup_cost(), b = mapped.setup_cost();
+  EXPECT_EQ(a.regions, b.regions);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.mmap_segments, b.mmap_segments);
+
+  auto describe = [](const ExchangeView<3>& x) {
+    std::vector<std::size_t> d;
+    x.visit_views([&](const mm::View& v) {
+      d.push_back(v.size());
+      for (const auto& s : v.segment_map())
+        d.insert(d.end(), {s.view_offset, s.file_offset, s.length});
+    });
+    return d;
+  };
+  EXPECT_EQ(describe(ev), describe(mapped));
+
+  // Pairwise disjoint, and none of them overlaps the storage: the GPU
+  // simulator registers every view as its own address range.
+  auto expect_disjoint = [&](const ExchangeView<3>& x) {
+    std::vector<std::pair<const std::byte*, const std::byte*>> spans;
+    x.visit_views([&](const mm::View& v) {
+      spans.emplace_back(v.data(), v.data() + v.size());
+    });
+    spans.emplace_back(store.data(), store.data() + store.bytes());
+    std::sort(spans.begin(), spans.end());
+    for (std::size_t i = 1; i < spans.size(); ++i)
+      EXPECT_LE(spans[i - 1].second, spans[i].first) << i;
+  };
+  expect_disjoint(ev);
+
+  // Move-assign over a live plan, then write every byte of every view
+  // (the sanitizer build checks the old buffer is gone and the new one
+  // is whole).
+  ev = ExchangeView<3>(dec, store, ranks, /*alias_storage=*/false);
+  expect_disjoint(ev);
+  ev.visit_views(
+      [](const mm::View& v) { std::memset(v.data(), 0x5A, v.size()); });
+  EXPECT_EQ(mm::live_view_segments(), live);
 }
 
 TEST(ExchangeViewTest, EndToEndOnEmulatedLargePages) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 
 namespace brickx::harness {
@@ -197,26 +205,190 @@ TEST(Harness, PaddingReportedOnlyForMemMap) {
   EXPECT_EQ(run(small_config(Method::Layout, false)).padding_percent, 0.0);
 }
 
-TEST(Harness, MemMapFloorProxyIsTimingExact) {
-  // The proxy must reproduce MemMap's modeled time, message count and byte
-  // volume exactly (zero padding on 4 KiB pages with 8-cube bricks, so the
-  // volumes coincide trivially; check a padded case too).
-  Config real = small_config(Method::MemMap, false);
-  real.execute_kernels = false;
-  real.validate = false;
-  Config proxy = real;
-  proxy.memmap_floor_proxy = true;
-  for (std::size_t page : {std::size_t{0}, std::size_t{64} * 1024}) {
-    real.page_size = proxy.page_size = page;
-    const Result a = run(real);
-    const Result b = run(proxy);
-    EXPECT_EQ(a.msgs_per_rank, b.msgs_per_rank);
-    EXPECT_EQ(a.wire_bytes_per_rank, b.wire_bytes_per_rank);
-    EXPECT_EQ(a.payload_bytes_per_rank, b.payload_bytes_per_rank);
-    EXPECT_NEAR(a.comm_per_step, b.comm_per_step, 1e-12);
-    EXPECT_DOUBLE_EQ(a.padding_percent, b.padding_percent);
-  }
+// ---- timing-only MemMap runs use unmapped views ----------------------------
+//
+// Without kernels no ghost byte is read, so MemMap's views are not mapped
+// (ExchangeView's alias_storage = false). Everything a Result reports must
+// still match an executed run with real mmap views bit for bit.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every Result field except `validated`, as named bit patterns (Stats by
+/// count/min/avg/max/sigma).
+std::vector<std::pair<std::string, std::uint64_t>> timing_bits(
+    const Result& r) {
+  std::vector<std::pair<std::string, std::uint64_t>> v;
+  auto stats = [&](const char* name, const Stats& st) {
+    v.emplace_back(std::string(name) + ".count",
+                   static_cast<std::uint64_t>(st.count()));
+    v.emplace_back(std::string(name) + ".min", bits(st.min()));
+    v.emplace_back(std::string(name) + ".avg", bits(st.avg()));
+    v.emplace_back(std::string(name) + ".max", bits(st.max()));
+    v.emplace_back(std::string(name) + ".sigma", bits(st.sigma()));
+  };
+  auto num = [&](const char* name, auto x) {
+    if constexpr (std::is_floating_point_v<decltype(x)>) {
+      v.emplace_back(name, bits(x));
+    } else {
+      v.emplace_back(name, static_cast<std::uint64_t>(x));
+    }
+  };
+  stats("calc", r.calc);
+  stats("pack", r.pack);
+  stats("call", r.call);
+  stats("wait", r.wait);
+  stats("plan_setup", r.plan_setup);
+  num("total_seconds", r.total_seconds);
+  num("calc_per_step", r.calc_per_step);
+  num("comm_per_step", r.comm_per_step);
+  num("gstencils", r.gstencils);
+  num("msgs_per_rank", r.msgs_per_rank);
+  num("wire_bytes_per_rank", r.wire_bytes_per_rank);
+  num("payload_bytes_per_rank", r.payload_bytes_per_rank);
+  num("padding_percent", r.padding_percent);
+  num("msgs_recv_per_rank", r.msgs_recv_per_rank);
+  num("bytes_recv_per_rank", r.bytes_recv_per_rank);
+  num("max_inflight_reqs", r.max_inflight_reqs);
+  num("setup_seconds", r.setup_seconds);
+  num("replan_per_step", r.replan_per_step);
+  num("plan_builds_per_rank", r.plan_builds_per_rank);
+  num("avg_hops", r.avg_hops);
+  num("queue_s_per_msg", r.queue_s_per_msg);
+  num("max_link_sharing", r.max_link_sharing);
+  num("busiest_link_util", r.busiest_link_util);
+  num("fabric_msgs", r.fabric_msgs);
+  const mpi::FaultCounts& f = r.fault_counts;
+  num("faults.messages", f.messages);
+  num("faults.delayed", f.delayed);
+  num("faults.dropped", f.dropped);
+  num("faults.duplicated", f.duplicated);
+  num("faults.reordered", f.reordered);
+  num("faults.truncated", f.truncated);
+  num("faults.corrupted", f.corrupted);
+  num("faults.detected", f.detected);
+  num("faults.leftover", f.leftover);
+  num("msgs_intra_per_rank", r.msgs_intra_per_rank);
+  num("msgs_inter_per_rank", r.msgs_inter_per_rank);
+  num("bytes_intra_per_rank", r.bytes_intra_per_rank);
+  num("bytes_inter_per_rank", r.bytes_inter_per_rank);
+  const transport::Stats& t = r.transport_stats;
+  num("transport.onnode_msgs", t.onnode_msgs);
+  num("transport.onnode_bytes", t.onnode_bytes);
+  num("transport.onnode_copies", t.onnode_copies);
+  num("transport.agg_frames", t.agg_frames);
+  num("transport.agg_submsgs", t.agg_submsgs);
+  num("transport.agg_frame_bytes", t.agg_frame_bytes);
+  return v;
 }
+
+struct MemMapCase {
+  std::string name;
+  Config cfg;
+};
+
+void PrintTo(const MemMapCase& c, std::ostream* os) { *os << c.name; }
+
+/// The MemMap matrix: page 0/16K/64K x brick 4/8 x 7/125-point under the
+/// flat fabric, dragonfly block/greedy/embed and overlap, plus the
+/// lexicographic layout on 2x2x2, shm, shm-agg, plan-per-round, summit UM,
+/// summit_future CudaAware, delay+reorder faults and 3 fields.
+std::vector<MemMapCase> memmap_matrix() {
+  auto base = [](std::size_t page, std::int64_t brick, bool use125) {
+    Config cfg;
+    cfg.machine = model::theta();
+    cfg.rank_dims = {2, 2, 1};
+    cfg.subdomain = {16, 16, 16};
+    cfg.brick = brick;
+    cfg.ghost = brick;
+    cfg.use125 = use125;
+    cfg.method = Method::MemMap;
+    cfg.page_size = page;
+    cfg.timesteps = use125 ? 4 : 8;
+    cfg.warmup_exchanges = 1;
+    cfg.validate = true;
+    return cfg;
+  };
+  std::vector<MemMapCase> cases;
+  for (const std::size_t page : {0, 16 * 1024, 64 * 1024})
+    for (const std::int64_t brick : {4, 8})
+      for (const bool use125 : {false, true}) {
+        const std::string stem = "p" + std::to_string(page / 1024) + "k_b" +
+                                 std::to_string(brick) +
+                                 (use125 ? "_125pt" : "_7pt");
+        const Config cfg = base(page, brick, use125);
+        cases.push_back({stem + "_flat", cfg});
+        for (const auto& [map, tag] :
+             {std::pair{netsim::MapKind::Block, "_df_block"},
+              std::pair{netsim::MapKind::Greedy, "_df_greedy"},
+              std::pair{netsim::MapKind::Embed, "_df_embed"}}) {
+          Config df = cfg;
+          df.fabric = netsim::FabricKind::Dragonfly;
+          df.mapping = map;
+          cases.push_back({stem + tag, df});
+        }
+        Config ol = cfg;
+        ol.overlap = true;
+        cases.push_back({stem + "_overlap", ol});
+      }
+  auto add = [&](const std::string& name, auto&& edit) {
+    Config cfg = base(0, 4, false);
+    edit(cfg);
+    cases.push_back({name, cfg});
+  };
+  add("lexicographic_2x2x2", [](Config& c) {
+    c.rank_dims = {2, 2, 2};
+    c.lexicographic_layout = true;
+  });
+  add("shm", [](Config& c) {
+    c.machine.net.ranks_per_node = 2;
+    c.transport = transport::Kind::Shm;
+  });
+  add("shm_agg", [](Config& c) {
+    c.machine.net.ranks_per_node = 2;
+    c.transport = transport::Kind::ShmAgg;
+  });
+  add("per_round", [](Config& c) { c.plan = PlanMode::PerRound; });
+  add("summit_um", [](Config& c) {
+    c.machine = model::summit();
+    c.machine.net.ranks_per_node = 2;
+    c.gpu = GpuMode::Unified;
+  });
+  add("summit_future_ca", [](Config& c) {
+    c.machine = model::summit_future();
+    c.machine.net.ranks_per_node = 2;
+    c.gpu = GpuMode::CudaAware;
+  });
+  add("delay_reorder_faults", [](Config& c) {
+    c.faults.delay = 0.5;
+    c.faults.reorder = 0.5;
+    c.faults.seed = 5;
+  });
+  add("fields3", [](Config& c) { c.fields = 3; });
+  return cases;
+}
+
+class MemMapTimingOnly : public ::testing::TestWithParam<MemMapCase> {};
+
+TEST_P(MemMapTimingOnly, MatchesExecutedRunBitwise) {
+  const Config& executed = GetParam().cfg;
+  const Result ref = run(executed);
+  ASSERT_TRUE(ref.validated);
+  Config timing = executed;
+  timing.execute_kernels = false;
+  EXPECT_EQ(timing_bits(run(timing)), timing_bits(ref));
+  // The legacy proxy flag now only forces timing-only.
+  Config proxy = executed;
+  proxy.memmap_floor_proxy = true;
+  const Result p = run(proxy);
+  EXPECT_FALSE(p.validated);
+  EXPECT_EQ(timing_bits(p), timing_bits(ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MemMap, MemMapTimingOnly, ::testing::ValuesIn(memmap_matrix()),
+    [](const ::testing::TestParamInfo<MemMapCase>& info) {
+      return info.param.name;
+    });
 
 TEST(Harness, LexicographicLayoutComputesIdenticallyWithMoreMessages) {
   // Fig. 10's No-Layout: block order does not affect compute, only the

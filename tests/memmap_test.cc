@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/error.h"
 #include "memmap/mem_file.h"
@@ -123,6 +124,62 @@ TEST(View, SegmentAccountingBalances) {
     EXPECT_EQ(live_view_segments(), before + 3);
   }
   EXPECT_EQ(live_view_segments(), before);
+}
+
+TEST(View, UnmappedBuildDescribesTheSameView) {
+  const std::size_t ps = host_page_size();
+  MemFile f(8 * ps);
+  Mapping canon(f);
+  ViewBuilder b(f);
+  b.add(1 * ps, ps).add(4 * ps, 2 * ps).add(1 * ps, ps);  // 1 repeats
+  const View mapped = b.build();
+  const std::int64_t before = live_view_segments();
+  std::vector<std::byte> bytes(b.total());
+  const View u = b.build_unmapped(bytes.data());
+  EXPECT_EQ(live_view_segments(), before);
+  ASSERT_TRUE(u.valid());
+  EXPECT_EQ(u.data(), bytes.data());
+  EXPECT_EQ(u.size(), mapped.size());
+  EXPECT_EQ(u.segments(), mapped.segments());
+  ASSERT_EQ(u.segment_map().size(), mapped.segment_map().size());
+  for (std::size_t i = 0; i < u.segment_map().size(); ++i) {
+    const auto& x = u.segment_map()[i];
+    const auto& y = mapped.segment_map()[i];
+    EXPECT_EQ(x.view_offset, y.view_offset) << i;
+    EXPECT_EQ(x.file_offset, y.file_offset) << i;
+    EXPECT_EQ(x.length, y.length) << i;
+  }
+  // The bytes are the caller's, not the file's.
+  std::memset(u.data(), 0x3C, u.size());
+  EXPECT_EQ(std::to_integer<int>(canon.data()[1 * ps]), 0);
+  EXPECT_EQ(std::to_integer<int>(mapped.data()[0]), 0);
+}
+
+TEST(View, UnmappedViewsMoveWithoutTouchingTheMapBudget) {
+  const std::size_t ps = host_page_size();
+  const std::int64_t before = live_view_segments();
+  {
+    MemFile f(4 * ps);
+    ViewBuilder b(f);
+    b.add(0, ps).add(2 * ps, ps);
+    std::vector<std::byte> bytes(2 * b.total());
+    View u = b.build_unmapped(bytes.data());
+    View w = b.build_unmapped(bytes.data() + b.total());
+    w = std::move(u);  // releasing an unmapped view frees nothing
+    EXPECT_FALSE(u.valid());
+    EXPECT_EQ(w.data(), bytes.data());
+    EXPECT_EQ(live_view_segments(), before);
+    View m = b.build();
+    EXPECT_EQ(live_view_segments(), before + 2);
+    m = std::move(w);  // unmaps the mapped view it replaces
+    EXPECT_EQ(live_view_segments(), before);
+    EXPECT_EQ(m.data(), bytes.data());
+    w = b.build();
+    EXPECT_EQ(live_view_segments(), before + 2);
+  }
+  EXPECT_EQ(live_view_segments(), before);
+  MemFile f(ps);
+  EXPECT_FALSE(ViewBuilder(f).build_unmapped(nullptr).valid());
 }
 
 TEST(View, ManySegmentsStressWithinMapLimit) {
