@@ -216,12 +216,14 @@ bool check_brick_paths(bool use125, std::uint64_t seed) {
       p[e] = rng.uniform() * 2.0 - 1.0;
   }
   Brick<B, B, B> bin(&info, &sin, 0);
-  const std::vector<Box<3>> boxes = {
-      {{0, 0, 0}, {16, 16, 16}},
-      stencil::expansion_output_box<3>({16, 16, 16}, g, r, 0),
-      {{B, B, B}, {2 * B, 2 * B, 2 * B}},
-      {{1, 2, 3}, {6, 15, 9}},
-      {{0, 0, 0}, {0, 0, 0}}};
+  std::vector<Box<3>> boxes = {{{0, 0, 0}, {16, 16, 16}},
+                               {{B, B, B}, {2 * B, 2 * B, 2 * B}},
+                               {{1, 2, 3}, {6, 15, 9}},
+                               {{0, 0, 0}, {0, 0, 0}}};
+  // Every step of the ghost-cell expansion schedule: clipped and
+  // frame-edge bricks at each margin g - (s+1)r.
+  for (std::int64_t st = 0; st < stencil::steps_per_exchange(g, r); ++st)
+    boxes.push_back(stencil::expansion_output_box<3>({16, 16, 16}, g, r, st));
   for (const Box<3>& box : boxes) {
     BrickStorage fast = dec.allocate(1), naive = dec.allocate(1);
     BrickStorage vec = dec.allocate(1);
@@ -303,12 +305,14 @@ struct KernelPoint {
   const char* kernel;   ///< "7pt" | "125pt"
   const char* storage;  ///< "brick" | "array"
   int brick;            ///< brick extent, 0 for array storage
-  const char* path;     ///< "naive" | "fast" | "simd"
+  const char* path;     ///< "naive" | "fast" | "simd" | "expansion"
   double cells_per_s = 0;
   std::int64_t iters = 0;
   double seconds = 0;
   /// Vector lanes of the measured path: 0 for naive (per-access), 1 for
-  /// the scalar fast tiles, simd::kActiveWidth for the explicit-SIMD tier.
+  /// the scalar fast tiles (and the autovectorized 7-point array rows),
+  /// simd::kActiveWidth for the explicit-SIMD tier (brick tiles and the
+  /// register-blocked 125-point array kernel).
   int width = 0;
   /// Coupled AoSoA fields evolved per application (cells scales with it).
   int fields = 1;
@@ -381,6 +385,51 @@ void measure_bricks(std::vector<KernelPoint>& out, std::int64_t n) {
   }
 }
 
+/// The `expansion` rows: one exchange's worth of the harness's ghost-cell
+/// expansion schedule — output boxes at margins g - r, g - 2r, ..., 0
+/// (ghost g = 8) through the production entry points. Unlike the
+/// full-domain rows, nearly every brick here is clipped or sits at the
+/// frame edge.
+void measure_expansion(std::vector<KernelPoint>& out, std::int64_t n) {
+  constexpr int B = 8;
+  constexpr std::int64_t g = 8;
+  BrickSetup s(n, B);
+  Brick<B, B, B> bin(&s.info, &s.in, 0), bout(&s.info, &s.out, 0);
+  CellArray3 ain(Box<3>{{-g, -g, -g}, {n + g, n + g, n + g}});
+  CellArray3 aout(ain.box());
+  Rng rng(0xe9a4d);
+  for_each(ain.box(), [&](const Vec3& p) { ain.at(p) = rng.uniform(); });
+  for (bool use125 : {false, true}) {
+    const std::int64_t r = use125 ? 2 : 1;
+    std::vector<Box<3>> boxes;
+    std::int64_t cells = 0;
+    for (std::int64_t st = 0; st < stencil::steps_per_exchange(g, r); ++st) {
+      boxes.push_back(stencil::expansion_output_box<3>({n, n, n}, g, r, st));
+      cells += boxes.back().volume();
+    }
+    for (bool brick : {true, false}) {
+      KernelPoint pt{use125 ? "125pt" : "7pt", brick ? "brick" : "array",
+                     brick ? B : 0, "expansion", 0, 0, 0,
+                     brick || use125 ? simd::kActiveWidth : 1, 1};
+      measure(pt, cells, [&] {
+        for (const Box<3>& box : boxes) {
+          if (brick && use125) {
+            stencil::apply125_bricks<B, B, B>(s.dec, bout, bin, box);
+          } else if (brick) {
+            stencil::apply7_bricks<B, B, B>(s.dec, bout, bin, box);
+          } else if (use125) {
+            stencil::apply125_array(ain, aout, box);
+          } else {
+            stencil::apply7_array(ain, aout, box);
+          }
+        }
+        benchmark::ClobberMemory();
+      });
+      out.push_back(pt);
+    }
+  }
+}
+
 /// The field-count axis: evolve F coupled AoSoA fields per application
 /// (brick 8, SIMD path). Cells processed scales with F, so cells/s staying
 /// flat means the AoSoA offsets cost nothing over the single-field layout.
@@ -430,7 +479,8 @@ void measure_arrays(std::vector<KernelPoint>& out, std::int64_t n) {
   for (bool use125 : {false, true}) {
     for (bool naive : {true, false}) {
       KernelPoint pt{use125 ? "125pt" : "7pt", "array", 0,
-                     naive ? "naive" : "fast", 0, 0, 0, naive ? 0 : 1, 1};
+                     naive ? "naive" : "fast", 0, 0, 0,
+                     naive ? 0 : (use125 ? simd::kActiveWidth : 1), 1};
       measure(pt, cells, [&] {
         if (use125) {
           if (naive) {
@@ -468,6 +518,7 @@ int write_json(const std::string& file, bool self_check_passed) {
   measure_bricks<8>(pts, n);
   measure_arrays(pts, n);
   measure_fields(pts, n);
+  measure_expansion(pts, n);
 
   FILE* f = std::fopen(file.c_str(), "w");
   if (!f) {
@@ -477,8 +528,9 @@ int write_json(const std::string& file, bool self_check_passed) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"micro_kernels\",\n");
   // v2: build provenance block, per-result width/fields axes, the "simd"
-  // path, and simd-vs-fast speedup ratios (DESIGN.md §16).
-  std::fprintf(f, "  \"schema_version\": 2,\n");
+  // path, and simd-vs-fast speedup ratios (DESIGN.md §16). v3: the
+  // "expansion" path (ghost-cell expansion schedule, clipped bricks).
+  std::fprintf(f, "  \"schema_version\": 3,\n");
   std::fprintf(f, "  \"build_type\": \"%s\",\n", BRICKX_BUILD_TYPE);
   // Provenance: trajectory points are only comparable when the toolchain
   // and vector configuration match — stamp everything that moves cells/s.

@@ -56,7 +56,9 @@ ctest --preset default -L tune
 echo "=== default preset: explicit-SIMD tier gate ==="
 # Explicit-SIMD kernel contract (DESIGN.md §16), named so a vectorization
 # or AoSoA regression fails loudly: the differential width sweeps and
-# alignment-guard unit tests, the multi-field FieldSet/ArrayFields
+# alignment-guard unit tests, the kernel-engine suite (clipped tiles over
+# every expansion/overlap box shape, the register-blocked array kernel,
+# the exec-shaped harness run), the multi-field FieldSet/ArrayFields
 # invariance suite, and micro_simd's forced-width differential self-check
 # (all also in the full suite above).
 ctest --preset default -L simd
@@ -77,8 +79,8 @@ ctest --preset asan-ubsan -j "$jobs" -L 'unit|persistent|analyze|transport|overl
 
 echo "=== forced-scalar build (BRICKX_SIMD_WIDTH=1): simd + perf gates ==="
 # The width-1 override must stay a first-class build: every SIMD dispatch
-# degenerates to the scalar fast tiles and all bit-exactness gates still
-# hold. This is the configuration the `fast` rows of BENCH_kernels.json
+# degenerates to the scalar fast tiles (clipped tiles and the 125-point
+# array strips run at width 1) and all bit-exactness gates still hold. This is the configuration the `fast` rows of BENCH_kernels.json
 # model and the fallback the alignment guard selects at runtime.
 cmake -S . -B build-scalar -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBRICKX_SIMD_WIDTH=1

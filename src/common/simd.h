@@ -99,6 +99,8 @@ struct DVec;
     }                                                                     \
     /* Aligned store; `p` must satisfy lane_aligned(p, W). */             \
     void store(double* p) const { *reinterpret_cast<V*>(p) = v; }         \
+    /* Unaligned store of W consecutive doubles. */                       \
+    void storeu(double* p) const { *reinterpret_cast<VU*>(p) = v; }       \
                                                                           \
     double operator[](int l) const { return v[l]; }                       \
     DVec& operator+=(DVec o) {                                            \
@@ -125,6 +127,7 @@ struct DVec<1> {
   static DVec zero() { return DVec{0.0}; }
   static DVec loadu(const double* p) { return DVec{*p}; }
   void store(double* p) const { *p = v; }
+  void storeu(double* p) const { *p = v; }
 
   double operator[](int) const { return v; }
   DVec& operator+=(DVec o) {

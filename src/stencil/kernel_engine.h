@@ -20,15 +20,23 @@ namespace brickx::stencil {
 ///  1. Brick-range pruning: the brick-grid range intersecting `out_cells`
 ///     is derived arithmetically, so only overlapping bricks are visited
 ///     instead of every allocated brick of the decomposition.
-///  2. Interior/boundary split: a brick fully covered by `out_cells` whose
-///     required neighbors all exist resolves its neighbor-brick base
-///     pointers once (BrickInfo::adjacent), gathers the radius-r halo into
-///     a contiguous stack tile, and runs a flat `double* __restrict`
-///     triple loop with constant trip counts — no proxy chain, no
-///     per-access adjacency branch. Partially covered (or frame-edge)
-///     bricks keep the clipped per-access `.at()` path.
+///  2. Halo tiles for every brick: each visited brick resolves its
+///     neighbor-brick base pointers once (BrickInfo::adjacent), gathers
+///     the part of its radius-r halo its stencil footprint reads into a
+///     contiguous stack tile, and runs flat `double* __restrict` loops —
+///     no proxy chain, no per-access adjacency branch. A brick fully
+///     covered by `out_cells` gathers the whole halo and runs constant
+///     trip counts. A clipped or frame-edge brick gathers only the rows
+///     its clip's footprint reads (y/z rows [lo - r, hi + r), face
+///     neighbors only for the 7-point star), runs the same width-W tile
+///     compute over the clipped (k, j) rows, and stores only the clipped
+///     x range. Every neighbor a footprint needs must be allocated; the
+///     gather raises Brick::at()'s ghost-zone error otherwise.
 ///  3. Row-pointer array kernels: the lexicographic (CellArray3) kernels
-///     hoist per-(z, y) row base pointers out of the contiguous x loop.
+///     hoist per-(z, y) row base pointers out of the contiguous x loop;
+///     the 125-point one keeps 8-cell × 2-row strips in simd::DVec
+///     accumulators across all 125 taps, with a scalar tail in the same
+///     tap order.
 
 /// Half-open brick-grid range [lo, hi) of bricks intersecting `out_cells`
 /// (cell coordinates; ghost coordinates allowed), clamped to the allocated
@@ -39,7 +47,7 @@ Box<3> brick_grid_range(const BrickDecomp<3>& dec, const Box<3>& out_cells);
 /// Fast 7-point / 125-point brick kernels; drop-in replacements for the
 /// naive apply7_bricks / apply125_bricks bodies (stencils.cc delegates
 /// here). Bit-identical to the naive kernels by construction; verified by
-/// tests/stencil_kernel_test.cc. These dispatch the interior tiles to the
+/// tests/stencil_kernel_test.cc. These dispatch every tile to the
 /// explicit-SIMD path at simd::kActiveWidth (DESIGN.md §16); the
 /// forced-width *_simd variants below expose every width for differential
 /// testing and the width axis of BENCH_kernels.json.
@@ -54,13 +62,15 @@ void engine_apply125(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
 /// --- Explicit-SIMD tier (DESIGN.md §16) ---
 ///
 /// Forced-width engine entry points: identical structure to engine_apply7 /
-/// engine_apply125, but the interior tile compute runs tap-outer /
+/// engine_apply125, but the tile compute runs tap-outer /
 /// lane-inner vector loops of `W` doubles (one output cell per lane, so
 /// each cell's dz-dy-dx accumulation order — and therefore every result
 /// bit — matches the naive kernels). `W == 1` is exactly the scalar fast
 /// path. When the storage cannot support width-W aligned stores
-/// (simd_storage_reason below), the call falls back to the scalar fast
+/// (simd_storage_reason below), full bricks fall back to the scalar fast
 /// tiles after a one-line diagnostic (once per process) — never UB.
+/// Clipped bricks store through an aligned row buffer, so they run at
+/// width W regardless (width 1 when W does not divide the brick row).
 /// Instantiated for brick sizes {4, 8}^3 at widths {1, 2, 4, 8}; widths
 /// the hardware lacks are compiler-emulated, so all are testable anywhere.
 template <int BK, int BJ, int BI, int W>
@@ -92,7 +102,8 @@ const char* simd_brick_reason(const Brick<BK, BJ, BI>& br, int w) {
                              w);
 }
 
-/// Fast lexicographic-array kernels (row-pointer inner loops). `in` must
+/// Fast lexicographic-array kernels (row-pointer inner loops; the
+/// 125-point kernel register-blocked at simd::kActiveWidth). `in` must
 /// cover `out_cells` expanded by the stencil radius; `out` must cover
 /// `out_cells`.
 void engine_apply7_array(const CellArray3& in, CellArray3& out,

@@ -47,8 +47,10 @@ struct Stencil125 {
 /// coordinates allowed), compute the covered cells from `in` into `out`.
 /// Cross-brick reads resolve through the adjacency indirection, so the
 /// physical brick order — the layout — is irrelevant to the result.
-/// Runs the fast-path kernel engine (brick-range pruning + interior tile
-/// loops, DESIGN.md §10); bit-identical to apply7_bricks_naive.
+/// Runs the fast-path kernel engine (brick-range pruning + halo-tile loops
+/// for every brick, full or clipped, DESIGN.md §10); bit-identical to
+/// apply7_bricks_naive, including its error when the stencil would read
+/// past the allocated ghost zone.
 template <int BK, int BJ, int BI>
 void apply7_bricks(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
                    const Brick<BK, BJ, BI>& in, const Box<3>& out_cells);
@@ -60,9 +62,11 @@ void apply125_bricks(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
                      const Brick<BK, BJ, BI>& in, const Box<3>& out_cells);
 
 /// The original per-access kernels: iterate every allocated brick, clip it
-/// against `out_cells`, and resolve all taps through Brick::at(). Kept as
-/// the reference implementations the fast engine is differentially tested
-/// against (tests/stencil_kernel_test.cc) and as the naive side of the
+/// against `out_cells`, and resolve all taps through Brick::at(). The only
+/// per-access brick kernels left: kept as the reference implementations
+/// the fast engine is differentially tested against
+/// (tests/stencil_kernel_test.cc, tests/stencil_simd_test.cc), as the
+/// harness's `naive_kernels` path, and as the naive side of the
 /// micro_kernels perf trajectory.
 template <int BK, int BJ, int BI>
 void apply7_bricks_naive(const BrickDecomp<3>& dec,
@@ -76,8 +80,9 @@ void apply125_bricks_naive(const BrickDecomp<3>& dec,
 
 /// Lexicographic-array kernels (the YASK/MPI_Types baselines and the
 /// reference): compute `out_cells` of `out` from `in`; both arrays must
-/// cover out_cells expanded by the stencil radius. Fast row-pointer loops;
-/// bit-identical to the *_naive per-cell versions below.
+/// cover out_cells expanded by the stencil radius. Fast row-pointer loops
+/// (the 125-point kernel holds 8-cell × 2-row strips in vector registers
+/// across its taps); bit-identical to the *_naive per-cell versions below.
 void apply7_array(const CellArray3& in, CellArray3& out,
                   const Box<3>& out_cells);
 void apply125_array(const CellArray3& in, CellArray3& out,

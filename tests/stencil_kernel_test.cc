@@ -1,9 +1,11 @@
 // Differential tests for the fast-path kernel engine (DESIGN.md §10):
 // the engine must be bit-identical to the naive per-access kernels over
-// arbitrary output boxes — full-domain, ghost-adjacent, clipped to odd
-// offsets, single-brick, and empty — for both brick sizes and both
-// stencils. Storage buffers are compared byte-for-byte, which also proves
-// the brick-range pruning never writes a brick outside the output box.
+// every output box shape of stencil_boxes.h — each ghost-cell expansion
+// step, the overlap interior and shell, 1-cell slabs, off-lane x clips,
+// frame-edge corners, single-brick and empty — for both brick sizes, both
+// stencils and 1 or 3 AoSoA fields. Storage buffers are compared
+// byte-for-byte, which also proves the engine never writes a cell outside
+// the output box.
 
 #include "stencil/kernel_engine.h"
 
@@ -15,33 +17,29 @@
 #include "core/brick.h"
 #include "core/cell_array.h"
 #include "harness/experiment.h"
+#include "result_bits.h"
 #include "stencil/stencils.h"
+#include "stencil_boxes.h"
 
 namespace brickx::stencil {
 namespace {
 
-/// Fill every allocated brick of `store` (field 0) with reproducible
-/// pseudo-random values, including the ghost frame.
-void fill_random(const BrickDecomp<3>& dec, BrickStorage& store, Rng& rng) {
-  for (std::int64_t b = 0; b < dec.total_brick_count(); ++b) {
-    double* p = store.brick(b);
-    for (std::int64_t e = 0; e < dec.elements_per_brick(); ++e)
-      p[e] = rng.uniform() * 2.0 - 1.0;
-  }
-}
-
+/// Default-dispatch engine vs naive kernel over `box`, computing the last of
+/// `fields` AoSoA fields (elem_offset > 0 when fields > 1).
 template <int B>
-void expect_paths_identical(const Box<3>& box, bool use125,
+void expect_paths_identical(const Box<3>& box, bool use125, int fields,
                             std::uint64_t seed) {
   const std::int64_t g = B;  // one ghost brick layer
-  BrickDecomp<3> dec({16, 16, 16}, g, Vec3::fill(B), surface3d());
+  BrickDecomp<3> dec(Vec3::fill(kTestDomain), g, Vec3::fill(B), surface3d());
   BrickInfo<3> info = dec.brick_info();
-  BrickStorage sin = dec.allocate(1);
-  BrickStorage out_fast = dec.allocate(1), out_naive = dec.allocate(1);
+  BrickStorage sin = dec.allocate(fields);
+  BrickStorage out_fast = dec.allocate(fields),
+               out_naive = dec.allocate(fields);
   Rng rng(seed);
   fill_random(dec, sin, rng);
-  Brick<B, B, B> bin(&info, &sin, 0);
-  Brick<B, B, B> bfast(&info, &out_fast, 0), bnaive(&info, &out_naive, 0);
+  const std::int64_t off = (fields - 1) * dec.elements_per_brick();
+  Brick<B, B, B> bin(&info, &sin, off);
+  Brick<B, B, B> bfast(&info, &out_fast, off), bnaive(&info, &out_naive, off);
   if (use125) {
     apply125_bricks<B, B, B>(dec, bfast, bin, box);
     apply125_bricks_naive<B, B, B>(dec, bnaive, bin, box);
@@ -50,52 +48,14 @@ void expect_paths_identical(const Box<3>& box, bool use125,
     apply7_bricks_naive<B, B, B>(dec, bnaive, bin, box);
   }
   // Byte-compare whole storages: allocated zeroed, so any write outside
-  // the output box (pruning bug) diverges just like a wrong value would.
+  // the output box or field (pruning or clipping bug) diverges just like
+  // a wrong value would.
   EXPECT_EQ(std::memcmp(out_fast.data(), out_naive.data(), out_fast.bytes()),
             0)
-      << "B=" << B << " use125=" << use125 << " seed=" << seed << " box=["
-      << box.lo[0] << "," << box.lo[1] << "," << box.lo[2] << ")-["
-      << box.hi[0] << "," << box.hi[1] << "," << box.hi[2] << ")";
-}
-
-/// Boxes exercising every engine path. Radius-r reads from cells in the
-/// box's margin must stay inside the allocated frame [-g, 16+g), so random
-/// boxes are drawn from [-(g-r), 16+g-r).
-template <int B>
-std::vector<Box<3>> test_boxes(bool use125, std::uint64_t seed) {
-  const std::int64_t g = B, r = use125 ? 2 : 1;
-  std::vector<Box<3>> boxes;
-  // Full domain: every interior brick takes the fast path.
-  boxes.push_back(Box<3>{{0, 0, 0}, {16, 16, 16}});
-  // Ghost-cell expansion box (ghost-adjacent reads and ghost-brick
-  // writes; frame-edge bricks must fall back to the boundary path).
-  boxes.push_back(expansion_output_box<3>({16, 16, 16}, g, r, 0));
-  // Single brick, interior.
-  boxes.push_back(Box<3>{{B, B, B}, {2 * B, 2 * B, 2 * B}});
-  // Single cell (clipped everywhere).
-  boxes.push_back(Box<3>{{3, 5, 7}, {4, 6, 8}});
-  // Empty boxes: zero-extent and inverted.
-  boxes.push_back(Box<3>{{0, 0, 0}, {0, 0, 0}});
-  boxes.push_back(Box<3>{{5, 5, 5}, {5, 9, 9}});
-  // Randomized clipped boxes (odd offsets, partial bricks, some reaching
-  // into the ghost frame).
-  Rng rng(seed);
-  for (int t = 0; t < 10; ++t) {
-    Box<3> b;
-    for (int a = 0; a < 3; ++a) {
-      const std::int64_t span = 16 + 2 * (g - r);
-      const std::int64_t lo =
-          -(g - r) + static_cast<std::int64_t>(rng.below(
-                         static_cast<std::uint64_t>(span)));
-      const std::int64_t len = 1 + static_cast<std::int64_t>(rng.below(
-                                       static_cast<std::uint64_t>(
-                                           16 + (g - r) - lo)));
-      b.lo[a] = lo;
-      b.hi[a] = lo + len;
-    }
-    boxes.push_back(b);
-  }
-  return boxes;
+      << "B=" << B << " use125=" << use125 << " fields=" << fields
+      << " seed=" << seed << " box=[" << box.lo[0] << "," << box.lo[1] << ","
+      << box.lo[2] << ")-[" << box.hi[0] << "," << box.hi[1] << ","
+      << box.hi[2] << ")";
 }
 
 class KernelEngine
@@ -105,12 +65,14 @@ TEST_P(KernelEngine, FastMatchesNaiveBitExactly) {
   const bool use125 = std::get<0>(GetParam());
   const int brick = std::get<1>(GetParam());
   std::uint64_t seed = use125 ? 1000 : 2000;
-  if (brick == 4) {
-    for (const Box<3>& b : test_boxes<4>(use125, seed))
-      expect_paths_identical<4>(b, use125, ++seed);
-  } else {
-    for (const Box<3>& b : test_boxes<8>(use125, seed))
-      expect_paths_identical<8>(b, use125, ++seed);
+  for (int fields : {1, 3}) {
+    if (brick == 4) {
+      for (const Box<3>& b : test_boxes<4>(use125, seed))
+        expect_paths_identical<4>(b, use125, fields, ++seed);
+    } else {
+      for (const Box<3>& b : test_boxes<8>(use125, seed))
+        expect_paths_identical<8>(b, use125, fields, ++seed);
+    }
   }
 }
 
@@ -166,6 +128,14 @@ TEST(ArrayKernels, FastMatchesNaiveBitExactly) {
                                {{-3, -3, -3}, {13, 13, 13}},
                                {{1, 2, 3}, {4, 9, 6}},
                                {{0, 0, 0}, {0, 0, 0}}};
+  // The register-blocked 125-point kernel runs 8-cell strips over row
+  // pairs: x extents below, at and above the strip width (scalar tail
+  // only, strips only, both) and odd y extents (an unpaired last row).
+  for (std::int64_t nx : {1, 5, 7, 8, 9, 13, 16})
+    for (std::int64_t ny : {1, 2, 3, 7}) {
+      const std::int64_t x0 = nx == 16 ? -3 : -1;
+      boxes.push_back(Box<3>{{x0, 2, -2}, {x0 + nx, 2 + ny, 1}});
+    }
   for (int t = 0; t < 10; ++t) {
     Box<3> b;
     for (int a = 0; a < 3; ++a) {
@@ -176,21 +146,33 @@ TEST(ArrayKernels, FastMatchesNaiveBitExactly) {
     }
     boxes.push_back(b);
   }
+  const std::size_t bytes = in.raw().size() * sizeof(double);
   for (const Box<3>& box : boxes) {
     for (int use125 = 0; use125 < 2; ++use125) {
-      CellArray3 of(frame), on(frame);
+      CellArray3 of(frame), on(frame), sf(frame), sn(frame);
       if (use125) {
         apply125_array(in, of, box);
         apply125_array_naive(in, on, box);
+        apply125_span(frame, in.raw().data(), sf.raw().data(), box);
+        apply125_span_naive(frame, in.raw().data(), sn.raw().data(), box);
       } else {
         apply7_array(in, of, box);
         apply7_array_naive(in, on, box);
+        apply7_span(frame, in.raw().data(), sf.raw().data(), box);
+        apply7_span_naive(frame, in.raw().data(), sn.raw().data(), box);
       }
-      EXPECT_EQ(std::memcmp(of.raw().data(), on.raw().data(),
-                            of.raw().size() * sizeof(double)),
-                0)
-          << "use125=" << use125 << " box lo=" << box.lo[0] << ","
-          << box.lo[1] << "," << box.lo[2];
+      const std::string where =
+          "use125=" + std::to_string(use125) + " box=[" +
+          std::to_string(box.lo[0]) + "," + std::to_string(box.lo[1]) + "," +
+          std::to_string(box.lo[2]) + ")-[" + std::to_string(box.hi[0]) +
+          "," + std::to_string(box.hi[1]) + "," + std::to_string(box.hi[2]) +
+          ")";
+      EXPECT_EQ(std::memcmp(of.raw().data(), on.raw().data(), bytes), 0)
+          << "array " << where;
+      EXPECT_EQ(std::memcmp(sf.raw().data(), sn.raw().data(), bytes), 0)
+          << "span " << where;
+      EXPECT_EQ(std::memcmp(of.raw().data(), sn.raw().data(), bytes), 0)
+          << "array vs span " << where;
     }
   }
 }
@@ -237,7 +219,18 @@ TEST(HarnessDispatch, NaiveAndFastRunsProduceIdenticalResults) {
   // + validation against the global reference) must be invariant to the
   // kernel path — virtual-time results depend on the model, not on
   // wall-clock kernel speed, and the computed data is bit-identical.
+  auto expect_same = [](harness::Config cfg) {
+    cfg.validate = true;
+    cfg.naive_kernels = false;
+    const harness::Result fast = harness::run(cfg);
+    cfg.naive_kernels = true;
+    const harness::Result naive = harness::run(cfg);
+    EXPECT_TRUE(fast.validated);
+    EXPECT_TRUE(naive.validated);
+    EXPECT_EQ(harness::timing_bits(fast), harness::timing_bits(naive));
+  };
   for (bool use125 : {false, true}) {
+    SCOPED_TRACE(use125 ? "125pt" : "7pt");
     harness::Config cfg;
     cfg.rank_dims = {2, 1, 1};
     cfg.subdomain = {8, 8, 8};
@@ -246,16 +239,26 @@ TEST(HarnessDispatch, NaiveAndFastRunsProduceIdenticalResults) {
     cfg.use125 = use125;
     cfg.method = harness::Method::Layout;
     cfg.timesteps = 4;
-    cfg.validate = true;
-    harness::Result fast = harness::run(cfg);
-    cfg.naive_kernels = true;
-    harness::Result naive = harness::run(cfg);
-    EXPECT_TRUE(fast.validated);
-    EXPECT_TRUE(naive.validated);
-    EXPECT_EQ(fast.total_seconds, naive.total_seconds);
-    EXPECT_EQ(fast.calc_per_step, naive.calc_per_step);
-    EXPECT_EQ(fast.comm_per_step, naive.comm_per_step);
-    EXPECT_EQ(fast.gstencils, naive.gstencils);
+    expect_same(cfg);
+    // Shaped like the executed benchmark runs: brick 8 with a full ghost
+    // brick, 2 AoSoA fields, two ranks per node over shared memory, with
+    // the overlap scheduler's interior/shell pieces and without.
+    for (bool overlap : {false, true}) {
+      SCOPED_TRACE(overlap ? "overlap" : "bulk");
+      harness::Config ex;
+      ex.rank_dims = {2, 1, 1};
+      ex.subdomain = {16, 16, 16};
+      ex.brick = 8;
+      ex.ghost = 8;
+      ex.fields = 2;
+      ex.machine.net.ranks_per_node = 2;
+      ex.transport = transport::Kind::Shm;
+      ex.use125 = use125;
+      ex.method = harness::Method::Layout;
+      ex.overlap = overlap;
+      ex.timesteps = use125 ? 8 : 16;  // two exchange batches
+      expect_same(ex);
+    }
   }
 }
 

@@ -1,34 +1,29 @@
 // Differential property suite for the explicit-SIMD kernel tier
 // (DESIGN.md §16): every width in {1, 2, 4, 8} must be bit-identical to
-// both the scalar fast path and the naive per-access kernels over
-// full-domain / ghost-adjacent / clipped / empty boxes × both stencils ×
-// both brick sizes — widths the hardware lacks are compiler-emulated, so
-// the whole matrix runs in one build. Plus the alignment guard
-// (simd_storage_reason) unit-tested for every width, the BrickStorage
-// alignment contract, and the AoSoA per-field dispatch.
+// the naive per-access kernels over the stencil_boxes.h matrix (expansion
+// steps, overlap interior and shell, slabs, off-lane x clips, frame-edge
+// corners, empty) × both stencils × both brick sizes × 1 or 3 AoSoA
+// fields — widths the hardware lacks are compiler-emulated, so the whole
+// matrix runs in one build. Plus the ghost-zone check at every width, the
+// alignment guard (simd_storage_reason) unit-tested for every width, the
+// BrickStorage alignment contract, and the AoSoA per-field dispatch.
 
 #include "stencil/kernel_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/brick.h"
 #include "stencil/stencils.h"
+#include "stencil_boxes.h"
 
 namespace brickx::stencil {
 namespace {
-
-void fill_random(const BrickDecomp<3>& dec, BrickStorage& store, Rng& rng) {
-  for (std::int64_t b = 0; b < dec.total_brick_count(); ++b) {
-    double* p = store.brick(b);
-    for (std::int64_t e = 0;
-         e < dec.elements_per_brick() * store.fields(); ++e)
-      p[e] = rng.uniform() * 2.0 - 1.0;
-  }
-}
 
 template <int B, int W>
 void apply_simd(const BrickDecomp<3>& dec, const Brick<B, B, B>& out,
@@ -40,62 +35,41 @@ void apply_simd(const BrickDecomp<3>& dec, const Brick<B, B, B>& out,
   }
 }
 
-/// One width's outputs vs the naive kernel's, byte-compared over the whole
+/// One box, one field count: the naive kernel's output (last of `fields`
+/// AoSoA fields) against every width's, byte-compared over the whole
 /// storage (catches stray writes as well as wrong values).
-template <int B, int W>
-void expect_width_identical(const Box<3>& box, bool use125,
-                            std::uint64_t seed) {
+template <int B>
+void expect_widths_identical(const Box<3>& box, bool use125, int fields,
+                             std::uint64_t seed) {
   const std::int64_t g = B;
-  BrickDecomp<3> dec({16, 16, 16}, g, Vec3::fill(B), surface3d());
+  BrickDecomp<3> dec(Vec3::fill(kTestDomain), g, Vec3::fill(B), surface3d());
   BrickInfo<3> info = dec.brick_info();
-  BrickStorage sin = dec.allocate(1);
-  BrickStorage out_simd = dec.allocate(1), out_naive = dec.allocate(1);
+  BrickStorage sin = dec.allocate(fields), out_naive = dec.allocate(fields);
   Rng rng(seed);
   fill_random(dec, sin, rng);
-  Brick<B, B, B> bin(&info, &sin, 0);
-  Brick<B, B, B> bsimd(&info, &out_simd, 0), bnaive(&info, &out_naive, 0);
-  apply_simd<B, W>(dec, bsimd, bin, box, use125);
+  const std::int64_t off = (fields - 1) * dec.elements_per_brick();
+  Brick<B, B, B> bin(&info, &sin, off), bnaive(&info, &out_naive, off);
   if (use125) {
     apply125_bricks_naive<B, B, B>(dec, bnaive, bin, box);
   } else {
     apply7_bricks_naive<B, B, B>(dec, bnaive, bin, box);
   }
-  EXPECT_EQ(
-      std::memcmp(out_simd.data(), out_naive.data(), out_simd.bytes()), 0)
-      << "B=" << B << " W=" << W << " use125=" << use125 << " seed=" << seed
-      << " box=[" << box.lo[0] << "," << box.lo[1] << "," << box.lo[2]
-      << ")-[" << box.hi[0] << "," << box.hi[1] << "," << box.hi[2] << ")";
-}
-
-/// Boxes exercising every engine path (mirrors stencil_kernel_test).
-template <int B>
-std::vector<Box<3>> test_boxes(bool use125, std::uint64_t seed) {
-  const std::int64_t g = B, r = use125 ? 2 : 1;
-  std::vector<Box<3>> boxes;
-  boxes.push_back(Box<3>{{0, 0, 0}, {16, 16, 16}});  // full domain
-  boxes.push_back(
-      expansion_output_box<3>({16, 16, 16}, g, r, 0));  // ghost-adjacent
-  boxes.push_back(
-      Box<3>{{B, B, B}, {2 * B, 2 * B, 2 * B}});  // one interior brick
-  boxes.push_back(Box<3>{{3, 5, 7}, {4, 6, 8}});  // clipped single cell
-  boxes.push_back(Box<3>{{0, 0, 0}, {0, 0, 0}});  // empty
-  Rng rng(seed);
-  for (int t = 0; t < 6; ++t) {
-    Box<3> b;
-    for (int a = 0; a < 3; ++a) {
-      const std::int64_t span = 16 + 2 * (g - r);
-      const std::int64_t lo =
-          -(g - r) + static_cast<std::int64_t>(
-                         rng.below(static_cast<std::uint64_t>(span)));
-      const std::int64_t len = 1 + static_cast<std::int64_t>(rng.below(
-                                       static_cast<std::uint64_t>(
-                                           16 + (g - r) - lo)));
-      b.lo[a] = lo;
-      b.hi[a] = lo + len;
-    }
-    boxes.push_back(b);
-  }
-  return boxes;
+  auto check = [&](int w, auto apply) {
+    BrickStorage out = dec.allocate(fields);
+    Brick<B, B, B> bout(&info, &out, off);
+    apply(bout);
+    EXPECT_EQ(std::memcmp(out.data(), out_naive.data(), out.bytes()), 0)
+        << "B=" << B << " W=" << w << " use125=" << use125
+        << " fields=" << fields << " seed=" << seed << " box=[" << box.lo[0]
+        << "," << box.lo[1] << "," << box.lo[2] << ")-[" << box.hi[0] << ","
+        << box.hi[1] << "," << box.hi[2] << ")";
+  };
+  // W = 1 is the scalar fast path; B = 4 at W = 8 exercises the
+  // row-not-divisible fallback (4 % 8 != 0) — still bit-identical.
+  check(1, [&](auto& o) { apply_simd<B, 1>(dec, o, bin, box, use125); });
+  check(2, [&](auto& o) { apply_simd<B, 2>(dec, o, bin, box, use125); });
+  check(4, [&](auto& o) { apply_simd<B, 4>(dec, o, bin, box, use125); });
+  check(8, [&](auto& o) { apply_simd<B, 8>(dec, o, bin, box, use125); });
 }
 
 template <int B>
@@ -103,12 +77,8 @@ void sweep_widths(bool use125) {
   std::uint64_t seed = use125 ? 5000 : 6000;
   for (const Box<3>& b : test_boxes<B>(use125, seed)) {
     ++seed;
-    // W = 1 is the scalar fast path; B = 4 at W = 8 exercises the
-    // row-not-divisible fallback (4 % 8 != 0) — still bit-identical.
-    expect_width_identical<B, 1>(b, use125, seed);
-    expect_width_identical<B, 2>(b, use125, seed);
-    expect_width_identical<B, 4>(b, use125, seed);
-    expect_width_identical<B, 8>(b, use125, seed);
+    for (int fields : {1, 3})
+      expect_widths_identical<B>(b, use125, fields, seed);
   }
 }
 
@@ -130,6 +100,72 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(i.param) ? "p125" : "p7") + "_b" +
              std::to_string(std::get<1>(i.param));
     });
+
+/// `f` must raise Brick::at()'s ghost-zone error.
+template <typename F>
+void expect_ghost_zone_error(F&& f, const std::string& what) {
+  try {
+    f();
+    ADD_FAILURE() << what << ": no error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "stencil reached past the allocated ghost zone"),
+              std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+/// A box one cell past the margin g - r reads one cell past the allocated
+/// frame: every width and the default dispatch must raise the naive
+/// kernels' error, whether the overreach is on all axes or on one face.
+template <int B>
+void expect_ghost_zone_checked(bool use125) {
+  const std::int64_t g = B, r = use125 ? 2 : 1, n = kTestDomain;
+  BrickDecomp<3> dec(Vec3::fill(n), g, Vec3::fill(B), surface3d());
+  BrickInfo<3> info = dec.brick_info();
+  BrickStorage sin = dec.allocate(1), sout = dec.allocate(1);
+  Brick<B, B, B> bin(&info, &sin, 0), bout(&info, &sout, 0);
+  const std::int64_t m = g - r + 1;
+  std::vector<Box<3>> boxes = {Box<3>{Vec3::fill(-m), Vec3::fill(n + m)}};
+  for (int a = 0; a < 3; ++a) {
+    Box<3> lo{{0, 0, 0}, Vec3::fill(n)}, hi = lo;
+    lo.lo[a] = -m;
+    lo.hi[a] = -m + 1;  // a 1-cell slab on the low face
+    hi.hi[a] = n + m;   // the domain grown past the high face
+    boxes.push_back(lo);
+    boxes.push_back(hi);
+  }
+  for (const Box<3>& box : boxes) {
+    const std::string where =
+        "B=" + std::to_string(B) + " use125=" + std::to_string(use125) +
+        " box.lo=" + std::to_string(box.lo[0]) + "," +
+        std::to_string(box.lo[1]) + "," + std::to_string(box.lo[2]);
+    expect_ghost_zone_error(
+        [&] { apply_simd<B, 1>(dec, bout, bin, box, use125); }, where + " W=1");
+    expect_ghost_zone_error(
+        [&] { apply_simd<B, 2>(dec, bout, bin, box, use125); }, where + " W=2");
+    expect_ghost_zone_error(
+        [&] { apply_simd<B, 4>(dec, bout, bin, box, use125); }, where + " W=4");
+    expect_ghost_zone_error(
+        [&] { apply_simd<B, 8>(dec, bout, bin, box, use125); }, where + " W=8");
+    expect_ghost_zone_error(
+        [&] {
+          if (use125) {
+            apply125_bricks<B, B, B>(dec, bout, bin, box);
+          } else {
+            apply7_bricks<B, B, B>(dec, bout, bin, box);
+          }
+        },
+        where + " default");
+  }
+}
+
+TEST(GhostZoneCheck, OneCellPastTheMarginThrowsAtEveryWidth) {
+  for (bool use125 : {false, true}) {
+    expect_ghost_zone_checked<4>(use125);
+    expect_ghost_zone_checked<8>(use125);
+  }
+}
 
 TEST(SimdWidths, ActiveWidthIsSupported) {
   const int w = simd::kActiveWidth;
