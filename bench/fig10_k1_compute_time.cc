@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     const auto layout = run(k1_config(s, Method::Layout));
     const auto memmap = run(k1_config(s, Method::MemMap));
     auto nl_cfg = k1_config(s, Method::Basic);
-    nl_cfg.lexicographic_layout = true;
+    nl_cfg.layout = lexicographic_layout(3);
     const auto nolayout = run(nl_cfg);
     t.row()
         .cell(s)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: the full tier-1 suite on the default preset, then the
-# fast `unit`-labeled tests again under ASan+UBSan (the sanitizer pass
-# skips slow/fuzz sweeps to keep wall time bounded; run them by hand with
-# `ctest --preset asan-ubsan` when touching the runtime or exchangers).
+# fast `unit`-labeled tests again under ASan+UBSan plus a bounded fuzz
+# sweep (the sanitizer pass skips the slow ctest sweeps to keep wall time
+# bounded; run them by hand with `ctest --preset asan-ubsan` when touching
+# the runtime or exchangers).
 #
 # Usage: scripts/ci.sh [jobs]   (default: nproc)
 set -euo pipefail
@@ -76,6 +77,13 @@ cmake --build --preset asan-ubsan -j "$jobs"
 
 echo "=== asan-ubsan preset: unit-, persistent-, analyze-, transport-, overlap-, tune- and simd-labeled tests ==="
 ctest --preset asan-ubsan -j "$jobs" -L 'unit|persistent|analyze|transport|overlap|tune|simd'
+
+echo "=== asan-ubsan preset: bounded fuzz sweep ==="
+# The exchange engine owns every request handle, including the ones a
+# faulted round abandons mid-flight; the fuzzer draws faults, persistent
+# and partitioned replay per config, so this is where a lifetime error in
+# that path would surface. Sized to about two minutes.
+build-asan/src/check/check_fuzz --iters=150 --seed=1
 
 echo "=== forced-scalar build (BRICKX_SIMD_WIDTH=1): simd + perf gates ==="
 # The width-1 override must stay a first-class build: every SIMD dispatch

@@ -81,19 +81,25 @@ PackExchanger::PackExchanger(const Vec3& domain, std::int64_t ghost,
            "direction and rank tables disagree");
   BX_CHECK(fields >= 1, "need at least one field");
   for (std::size_t v = 0; v < dirs.size(); ++v) {
-    NMsg m;
-    m.rank = neighbor_ranks[v];
-    m.send_tag = static_cast<int>(v);
-    m.recv_tag = ordinal_of(dirs, dirs[v].flipped());
-    m.sbox = send_box(dirs[v], domain, ghost);
-    m.rbox = recv_box(dirs[v], domain, ghost);
-    BX_CHECK(m.sbox.volume() == m.rbox.volume(),
+    Staging& st = staging_.emplace_back();
+    st.sbox = send_box(dirs[v], domain, ghost);
+    st.rbox = recv_box(dirs[v], domain, ghost);
+    BX_CHECK(st.sbox.volume() == st.rbox.volume(),
              "send/recv volumes must match");
     // One buffer (one message) per neighbor regardless of field count.
-    m.sbuf.resize(static_cast<std::size_t>(m.sbox.volume() * fields));
-    m.rbuf.resize(static_cast<std::size_t>(m.rbox.volume() * fields));
-    msgs_.push_back(std::move(m));
+    st.sbuf.resize(static_cast<std::size_t>(st.sbox.volume() * fields));
+    st.rbuf.resize(static_cast<std::size_t>(st.rbox.volume() * fields));
+    const std::size_t bytes = st.sbuf.size() * sizeof(double);
+    add_send(PlanWire{.rank = neighbor_ranks[v],
+                      .tag = static_cast<int>(v),
+                      .buf = reinterpret_cast<std::byte*>(st.sbuf.data()),
+                      .bytes = bytes});
+    add_recv(PlanWire{.rank = neighbor_ranks[v],
+                      .tag = ordinal_of(dirs, dirs[v].flipped()),
+                      .buf = reinterpret_cast<std::byte*>(st.rbuf.data()),
+                      .bytes = bytes});
   }
+  add_cost({.regions = static_cast<std::int64_t>(dirs.size())});  // box pairs
 }
 
 std::size_t PackExchanger::pack(const CellArray3& field) {
@@ -111,61 +117,16 @@ std::size_t PackExchanger::pack(const ArrayFields& fields) {
 std::size_t PackExchanger::pack_slabs(const double* slabs,
                                       const Box<3>& frame) {
   std::size_t bytes = 0;
-  for (NMsg& m : msgs_) {
+  for (Staging& st : staging_) {
     for_each_packed_row(
-        frame, fields_, m.sbox,
+        frame, fields_, st.sbox,
         [&](std::int64_t s, std::int64_t b, std::int64_t n) {
-          std::memcpy(m.sbuf.data() + b, slabs + s,
+          std::memcpy(st.sbuf.data() + b, slabs + s,
                       static_cast<std::size_t>(n) * sizeof(double));
         });
-    bytes += m.sbuf.size() * sizeof(double);
+    bytes += st.sbuf.size() * sizeof(double);
   }
   return bytes;
-}
-
-void PackExchanger::make_persistent(mpi::Comm& comm) {
-  BX_CHECK(!pset_.bound(), "pack exchanger already bound");
-  BX_CHECK(pending_.empty(), "cannot bind while an exchange is in flight");
-  for (NMsg& m : msgs_)
-    pset_.add_recv(comm.recv_init(m.rbuf.data(),
-                                  m.rbuf.size() * sizeof(double), m.rank,
-                                  m.recv_tag));
-  for (NMsg& m : msgs_)
-    pset_.add_send(comm.send_init(m.sbuf.data(),
-                                  m.sbuf.size() * sizeof(double), m.rank,
-                                  m.send_tag));
-  pset_.mark_bound();
-}
-
-PlanCost PackExchanger::setup_cost() const {
-  PlanCost c;
-  c.regions = static_cast<std::int64_t>(msgs_.size());  // one box pair each
-  c.messages = static_cast<std::int64_t>(2 * msgs_.size());
-  return c;
-}
-
-void PackExchanger::start(mpi::Comm& comm) {
-  BX_CHECK(pending_.empty(), "previous exchange still in flight");
-  if (pset_.bound()) {
-    pset_.start_all();
-    return;
-  }
-  for (NMsg& m : msgs_)
-    pending_.push_back(comm.irecv(m.rbuf.data(),
-                                  m.rbuf.size() * sizeof(double), m.rank,
-                                  m.recv_tag));
-  for (NMsg& m : msgs_)
-    pending_.push_back(comm.isend(m.sbuf.data(),
-                                  m.sbuf.size() * sizeof(double), m.rank,
-                                  m.send_tag));
-}
-
-void PackExchanger::finish(mpi::Comm& comm) {
-  if (pset_.bound()) {
-    pset_.wait_all();
-    return;
-  }
-  comm.waitall(pending_);
 }
 
 std::size_t PackExchanger::unpack(CellArray3& field) {
@@ -182,60 +143,35 @@ std::size_t PackExchanger::unpack(ArrayFields& fields) {
 
 std::size_t PackExchanger::unpack_slabs(double* slabs, const Box<3>& frame) {
   std::size_t bytes = 0;
-  for (NMsg& m : msgs_) {
+  for (Staging& st : staging_) {
     for_each_packed_row(
-        frame, fields_, m.rbox,
+        frame, fields_, st.rbox,
         [&](std::int64_t s, std::int64_t b, std::int64_t n) {
-          std::memcpy(slabs + s, m.rbuf.data() + b,
+          std::memcpy(slabs + s, st.rbuf.data() + b,
                       static_cast<std::size_t>(n) * sizeof(double));
         });
-    bytes += m.rbuf.size() * sizeof(double);
+    bytes += st.rbuf.size() * sizeof(double);
   }
   return bytes;
 }
 
 void PackExchanger::exchange(mpi::Comm& comm, CellArray3& field) {
   pack(field);
-  start(comm);
-  finish(comm);
+  ExchangePlan::exchange(comm);
   unpack(field);
 }
 
 void PackExchanger::exchange(mpi::Comm& comm, ArrayFields& fields) {
   pack(fields);
-  start(comm);
-  finish(comm);
+  ExchangePlan::exchange(comm);
   unpack(fields);
-}
-
-std::int64_t PackExchanger::send_byte_count() const {
-  std::int64_t n = 0;
-  for (const NMsg& m : msgs_)
-    n += static_cast<std::int64_t>(m.sbuf.size() * sizeof(double));
-  return n;
 }
 
 MpiTypesExchanger::MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
                                      const std::vector<BitSet>& dirs,
                                      const std::vector<int>& neighbor_ranks,
                                      const CellArray3& field_shape) {
-  BX_CHECK(dirs.size() == neighbor_ranks.size(),
-           "direction and rank tables disagree");
-  const Box<3>& fb = field_shape.box();
-  const Vec3 sizes = fb.extent();
-  for (std::size_t v = 0; v < dirs.size(); ++v) {
-    NMsg m;
-    m.rank = neighbor_ranks[v];
-    m.send_tag = static_cast<int>(v);
-    m.recv_tag = ordinal_of(dirs, dirs[v].flipped());
-    const Box<3> sb = send_box(dirs[v], domain, ghost);
-    const Box<3> rb = recv_box(dirs[v], domain, ghost);
-    m.stype = mpi::Datatype::subarray<3>(sizes, sb.extent(), sb.lo - fb.lo,
-                                         sizeof(double));
-    m.rtype = mpi::Datatype::subarray<3>(sizes, rb.extent(), rb.lo - fb.lo,
-                                         sizeof(double));
-    msgs_.push_back(std::move(m));
-  }
+  build(domain, ghost, dirs, neighbor_ranks, field_shape.box(), 0);
 }
 
 MpiTypesExchanger::MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
@@ -243,130 +179,81 @@ MpiTypesExchanger::MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
                                      const std::vector<int>& neighbor_ranks,
                                      const ArrayFields& fields_shape)
     : fields_(fields_shape.fields()) {
-  BX_CHECK(dirs.size() == neighbor_ranks.size(),
-           "direction and rank tables disagree");
-  const Box<3>& fb = fields_shape.box();
-  const Vec3 sizes = fb.extent();
-  const std::size_t slab_bytes =
-      static_cast<std::size_t>(fields_shape.field_elems()) * sizeof(double);
-  for (std::size_t v = 0; v < dirs.size(); ++v) {
-    NMsg m;
-    m.rank = neighbor_ranks[v];
-    m.send_tag = static_cast<int>(v);
-    m.recv_tag = ordinal_of(dirs, dirs[v].flipped());
-    const Box<3> sb = send_box(dirs[v], domain, ghost);
-    const Box<3> rb = recv_box(dirs[v], domain, ghost);
-    // One committed type per side: the per-field subarrays concatenated at
-    // the field-slab displacements (MPI_Type_create_struct).
-    std::vector<std::pair<std::size_t, mpi::Datatype>> sparts, rparts;
-    for (int f = 0; f < fields_; ++f) {
-      const std::size_t disp = static_cast<std::size_t>(f) * slab_bytes;
-      sparts.emplace_back(disp,
-                          mpi::Datatype::subarray<3>(sizes, sb.extent(),
-                                                     sb.lo - fb.lo,
-                                                     sizeof(double)));
-      rparts.emplace_back(disp,
-                          mpi::Datatype::subarray<3>(sizes, rb.extent(),
-                                                     rb.lo - fb.lo,
-                                                     sizeof(double)));
-    }
-    m.stype = mpi::Datatype::concat(sparts);
-    m.rtype = mpi::Datatype::concat(rparts);
-    msgs_.push_back(std::move(m));
-  }
+  build(domain, ghost, dirs, neighbor_ranks, fields_shape.box(),
+        static_cast<std::size_t>(fields_shape.field_elems()) * sizeof(double));
 }
 
-void MpiTypesExchanger::bind_raw(mpi::Comm& comm, double* base) {
-  BX_CHECK(!pset_.bound(), "types exchanger already bound");
-  BX_CHECK(pending_.empty(), "cannot bind while an exchange is in flight");
-  bound_field_ = base;
-  for (NMsg& m : msgs_)
-    pset_.add_recv(comm.recv_init(base, m.rtype, m.rank, m.recv_tag));
-  for (NMsg& m : msgs_)
-    pset_.add_send(comm.send_init(base, m.stype, m.rank, m.send_tag));
-  pset_.mark_bound();
+void MpiTypesExchanger::build(const Vec3& domain, std::int64_t ghost,
+                              const std::vector<BitSet>& dirs,
+                              const std::vector<int>& neighbor_ranks,
+                              const Box<3>& frame, std::size_t slab_bytes) {
+  BX_CHECK(dirs.size() == neighbor_ranks.size(),
+           "direction and rank tables disagree");
+  const Vec3 sizes = frame.extent();
+  // One committed type per side: the subarray `b` of the field, or — over
+  // field slabs `slab_bytes` apart — the per-field subarrays concatenated
+  // at the slab displacements (MPI_Type_create_struct).
+  auto type_of = [&](const Box<3>& b) {
+    auto sub = [&] {
+      return mpi::Datatype::subarray<3>(sizes, b.extent(), b.lo - frame.lo,
+                                        sizeof(double));
+    };
+    if (slab_bytes == 0) return sub();
+    std::vector<std::pair<std::size_t, mpi::Datatype>> parts;
+    for (int f = 0; f < fields_; ++f)
+      parts.emplace_back(static_cast<std::size_t>(f) * slab_bytes, sub());
+    return mpi::Datatype::concat(parts);
+  };
+  for (std::size_t v = 0; v < dirs.size(); ++v) {
+    mpi::Datatype st = type_of(send_box(dirs[v], domain, ghost));
+    mpi::Datatype rt = type_of(recv_box(dirs[v], domain, ghost));
+    add_send(PlanWire{.rank = neighbor_ranks[v],
+                      .tag = static_cast<int>(v),
+                      .bytes = st.size(),
+                      .type = std::move(st)});
+    add_recv(PlanWire{.rank = neighbor_ranks[v],
+                      .tag = ordinal_of(dirs, dirs[v].flipped()),
+                      .bytes = rt.size(),
+                      .type = std::move(rt)});
+  }
+  add_cost({.regions = static_cast<std::int64_t>(dirs.size())});  // box pairs
+}
+
+double* MpiTypesExchanger::origin(CellArray3& field) const {
+  BX_CHECK(fields_ == 1,
+           "single-field call on a multi-field exchanger; pass ArrayFields");
+  return field.raw().data();
+}
+
+double* MpiTypesExchanger::origin(ArrayFields& fields) const {
+  BX_CHECK(fields.fields() == fields_,
+           "field count does not match the exchanger's");
+  return fields.raw().data();
 }
 
 void MpiTypesExchanger::make_persistent(mpi::Comm& comm, CellArray3& field) {
-  BX_CHECK(fields_ == 1,
-           "single-field bind on a multi-field exchanger; pass ArrayFields");
-  bind_raw(comm, field.raw().data());
+  ExchangePlan::make_persistent(comm, origin(field));
 }
 
 void MpiTypesExchanger::make_persistent(mpi::Comm& comm,
                                         ArrayFields& fields) {
-  BX_CHECK(fields.fields() == fields_,
-           "field count does not match the exchanger's");
-  bind_raw(comm, fields.raw().data());
-}
-
-PlanCost MpiTypesExchanger::setup_cost() const {
-  PlanCost c;
-  c.regions = static_cast<std::int64_t>(msgs_.size());  // one box pair each
-  c.messages = static_cast<std::int64_t>(2 * msgs_.size());
-  c.dt_blocks = datatype_block_count();
-  return c;
-}
-
-void MpiTypesExchanger::start_raw(mpi::Comm& comm, double* base) {
-  BX_CHECK(pending_.empty(), "previous exchange still in flight");
-  if (pset_.bound()) {
-    // Persistent MPI freezes the buffer address at init; replaying against
-    // a different field would silently exchange the wrong data.
-    BX_CHECK(base == bound_field_,
-             "persistent MPI_Types exchange started on a different field "
-             "than the one bound by make_persistent");
-    pset_.start_all();
-    return;
-  }
-  for (NMsg& m : msgs_)
-    pending_.push_back(comm.irecv(base, m.rtype, m.rank, m.recv_tag));
-  for (NMsg& m : msgs_)
-    pending_.push_back(comm.isend(base, m.stype, m.rank, m.send_tag));
+  ExchangePlan::make_persistent(comm, origin(fields));
 }
 
 void MpiTypesExchanger::start(mpi::Comm& comm, CellArray3& field) {
-  BX_CHECK(fields_ == 1,
-           "single-field start on a multi-field exchanger; pass ArrayFields");
-  start_raw(comm, field.raw().data());
+  ExchangePlan::start(comm, origin(field));
 }
 
 void MpiTypesExchanger::start(mpi::Comm& comm, ArrayFields& fields) {
-  BX_CHECK(fields.fields() == fields_,
-           "field count does not match the exchanger's");
-  start_raw(comm, fields.raw().data());
-}
-
-void MpiTypesExchanger::finish(mpi::Comm& comm) {
-  if (pset_.bound()) {
-    pset_.wait_all();
-    return;
-  }
-  comm.waitall(pending_);
+  ExchangePlan::start(comm, origin(fields));
 }
 
 void MpiTypesExchanger::exchange(mpi::Comm& comm, CellArray3& field) {
-  start(comm, field);
-  finish(comm);
+  ExchangePlan::exchange(comm, origin(field));
 }
 
 void MpiTypesExchanger::exchange(mpi::Comm& comm, ArrayFields& fields) {
-  start(comm, fields);
-  finish(comm);
-}
-
-std::int64_t MpiTypesExchanger::send_byte_count() const {
-  std::int64_t n = 0;
-  for (const NMsg& m : msgs_) n += static_cast<std::int64_t>(m.stype.size());
-  return n;
-}
-
-std::int64_t MpiTypesExchanger::datatype_block_count() const {
-  std::int64_t n = 0;
-  for (const NMsg& m : msgs_)
-    n += static_cast<std::int64_t>(m.stype.block_count() +
-                                   m.rtype.block_count());
-  return n;
+  ExchangePlan::exchange(comm, origin(fields));
 }
 
 }  // namespace brickx::baseline

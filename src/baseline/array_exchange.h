@@ -23,12 +23,15 @@ Box<3> recv_box(const BitSet& nu, const Vec3& domain, std::int64_t g);
 /// The classic pack-based ghost exchange on a lexicographic array — the
 /// YASK-like baseline. One message per neighbor; surface cells are packed
 /// into staging buffers with explicit copies (the on-node data movement the
-/// paper eliminates), sent, and unpacked into the ghost frame.
+/// paper eliminates), sent, and unpacked into the ghost frame. The plan's
+/// wires are the staging buffers; binding it persistent replays only the
+/// message posting — pack/unpack still run per round (the data movement is
+/// the point of this baseline).
 ///
 /// The phases are split so the harness can attribute time the way the
 /// paper's artifact reports it (pack / call / wait):
 ///   pack(field) -> start(comm) -> finish(comm) -> unpack(field)
-class PackExchanger {
+class PackExchanger : public ExchangePlan {
  public:
   /// `neighbor_ranks[i]` = rank of the neighbor in direction `dirs[i]`;
   /// `dirs` must be the full 3^D-1 direction enumeration shared by ranks.
@@ -39,23 +42,11 @@ class PackExchanger {
                 const std::vector<BitSet>& dirs,
                 const std::vector<int>& neighbor_ranks, int fields = 1);
 
-  /// Bind the staging buffers to persistent requests; pack/unpack still run
-  /// per round (the data movement is the point of this baseline), only the
-  /// message posting is replayed.
-  void make_persistent(mpi::Comm& comm);
-  [[nodiscard]] bool persistent() const { return pset_.bound(); }
-
-  /// Modeled cost of building the per-neighbor schedule (box derivation +
-  /// message init; no datatypes, no views).
-  [[nodiscard]] PlanCost setup_cost() const;
-
   /// Copy surface cells into the send buffers; returns bytes copied.
   std::size_t pack(const CellArray3& field);
   /// Multi-field pack: each neighbor's buffer holds field 0's surface
   /// cells, then field 1's, ... — one buffer (one message) for all fields.
   std::size_t pack(const ArrayFields& fields);
-  void start(mpi::Comm& comm);
-  void finish(mpi::Comm& comm);
   /// Copy receive buffers into the ghost frame; returns bytes copied.
   std::size_t unpack(CellArray3& field);
   std::size_t unpack(ArrayFields& fields);
@@ -64,19 +55,13 @@ class PackExchanger {
   void exchange(mpi::Comm& comm, CellArray3& field);
   void exchange(mpi::Comm& comm, ArrayFields& fields);
 
-  [[nodiscard]] std::int64_t send_message_count() const {
-    return static_cast<std::int64_t>(msgs_.size());
-  }
-  [[nodiscard]] std::int64_t send_byte_count() const;
   /// Bytes moved on-node per full exchange (pack + unpack).
   [[nodiscard]] std::int64_t onnode_byte_count() const {
     return 2 * send_byte_count();
   }
 
  private:
-  struct NMsg {
-    int rank;
-    int send_tag, recv_tag;
+  struct Staging {
     Box<3> sbox, rbox;
     std::vector<double> sbuf, rbuf;
   };
@@ -86,15 +71,16 @@ class PackExchanger {
   std::size_t unpack_slabs(double* slabs, const Box<3>& frame);
 
   int fields_ = 1;
-  std::vector<NMsg> msgs_;
-  PersistentSet pset_;
-  std::vector<mpi::Request> pending_;
+  std::vector<Staging> staging_;  ///< per neighbor, aligned with the wires
 };
 
 /// Ghost exchange through MPI derived datatypes — packing happens *inside*
 /// the (simulated) MPI library via subarray types, exactly the paper's
-/// MPI_Types baseline. One message per neighbor, no application staging.
-class MpiTypesExchanger {
+/// MPI_Types baseline. One message per neighbor, no application staging:
+/// every wire is a committed datatype laid over the field passed to
+/// start() / make_persistent(). Persistent MPI freezes that buffer, so a
+/// bound plan must keep being started on the same field (checked).
+class MpiTypesExchanger : public ExchangePlan {
  public:
   MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
                     const std::vector<BitSet>& dirs,
@@ -112,44 +98,33 @@ class MpiTypesExchanger {
                     const ArrayFields& fields_shape);
 
   /// Bind the committed datatypes to persistent requests anchored at
-  /// `field`'s raw buffer. Persistent MPI freezes the buffer address, so
-  /// subsequent start() calls must pass the same field (checked).
+  /// `field`'s raw buffer.
   void make_persistent(mpi::Comm& comm, CellArray3& field);
   void make_persistent(mpi::Comm& comm, ArrayFields& fields);
-  [[nodiscard]] bool persistent() const { return pset_.bound(); }
-
-  /// Modeled cost of building the plan: datatype commit dominates (one
-  /// entry per contiguous block of the subarray walks), plus message init.
-  [[nodiscard]] PlanCost setup_cost() const;
 
   void start(mpi::Comm& comm, CellArray3& field);
   void start(mpi::Comm& comm, ArrayFields& fields);
-  void finish(mpi::Comm& comm);
   void exchange(mpi::Comm& comm, CellArray3& field);
   void exchange(mpi::Comm& comm, ArrayFields& fields);
 
-  [[nodiscard]] std::int64_t send_message_count() const {
-    return static_cast<std::int64_t>(msgs_.size());
-  }
-  [[nodiscard]] std::int64_t send_byte_count() const;
   /// Total contiguous blocks the datatype engine walks per exchange (send
   /// plus receive side) — the quantity that dominates MPI_Types cost.
-  [[nodiscard]] std::int64_t datatype_block_count() const;
+  [[nodiscard]] std::int64_t datatype_block_count() const {
+    return setup_cost().dt_blocks;
+  }
 
  private:
-  void bind_raw(mpi::Comm& comm, double* base);
-  void start_raw(mpi::Comm& comm, double* base);
+  // Commit one send and one receive type per neighbor; slab_bytes == 0
+  // means a single CellArray3 field.
+  void build(const Vec3& domain, std::int64_t ghost,
+             const std::vector<BitSet>& dirs,
+             const std::vector<int>& neighbor_ranks, const Box<3>& frame,
+             std::size_t slab_bytes);
+  // The raw base of a field matching this exchanger's field count.
+  double* origin(CellArray3& field) const;
+  double* origin(ArrayFields& fields) const;
 
-  struct NMsg {
-    int rank;
-    int send_tag, recv_tag;
-    mpi::Datatype stype, rtype;
-  };
   int fields_ = 1;
-  std::vector<NMsg> msgs_;
-  PersistentSet pset_;
-  const double* bound_field_ = nullptr;  ///< raw() base make_persistent froze
-  std::vector<mpi::Request> pending_;
 };
 
 }  // namespace brickx::baseline

@@ -161,11 +161,10 @@ MethodRun run_method(M m, const FuzzConfig& cfg, mpi::FaultInjector* fi) {
                         field.field_base(f) + field.field_elems());
       }
       if (comm.rank() == 0) {
-        out.msgs_per_exchange =
-            pack ? pack->send_message_count() : types->send_message_count();
-        out.wire_bytes =
-            pack ? pack->send_byte_count() : types->send_byte_count();
-        out.payload_bytes = out.wire_bytes;
+        const ExchangePlan& plan =
+            pack ? static_cast<const ExchangePlan&>(*pack) : *types;
+        out.msgs_per_exchange = plan.send_message_count();
+        out.wire_bytes = out.payload_bytes = plan.send_byte_count();
       }
       return;
     }
@@ -196,11 +195,10 @@ MethodRun run_method(M m, const FuzzConfig& cfg, mpi::FaultInjector* fi) {
         record_frame(field);
       }
       if (comm.rank() == 0) {
-        out.msgs_per_exchange =
-            pack ? pack->send_message_count() : types->send_message_count();
-        out.wire_bytes =
-            pack ? pack->send_byte_count() : types->send_byte_count();
-        out.payload_bytes = out.wire_bytes;
+        const ExchangePlan& plan =
+            pack ? static_cast<const ExchangePlan&>(*pack) : *types;
+        out.msgs_per_exchange = plan.send_message_count();
+        out.wire_bytes = out.payload_bytes = plan.send_byte_count();
       }
       return;
     }
@@ -218,30 +216,11 @@ MethodRun run_method(M m, const FuzzConfig& cfg, mpi::FaultInjector* fi) {
       ex.emplace(dec, store, ranks_tbl,
                  m == M::Basic ? Exchanger<3>::Mode::Basic
                                : Exchanger<3>::Mode::Layout);
-    if (cfg.persistent) {
-      // Bound plan handles must also survive a faulted round (the throw
-      // unwinds through the Persistent destructors while in flight).
-      if (ev) ev->make_persistent(comm);
-      if (ex) ex->make_persistent(comm);
-    }
-    if (cfg.overlap) {
-      if (ev) ev->make_partitioned(comm);
-      if (ex) ex->make_partitioned(comm);
-    }
-
-    // The partitioned replay: every send partition readied in flat order,
-    // every receive partition consumed in *reverse* order (deliberately not
-    // the arrival order), then the round closed. Delivered frames must
-    // still be bitwise identical to the bulk path — partition granularity
-    // may only change timing, never data.
-    auto overlap_round = [&](auto& x) {
-      x.part_start();
-      const int ns = static_cast<int>(x.send_parts().size());
-      for (int j = 0; j < ns; ++j) x.part_pready(j);
-      const int nr = static_cast<int>(x.recv_parts().size());
-      for (int j = nr - 1; j >= 0; --j) (void)x.part_arrived(j);
-      x.part_finish();
-    };
+    ExchangePlan& plan = ev ? static_cast<ExchangePlan&>(*ev) : *ex;
+    // Bound plan handles must also survive a faulted round (the throw
+    // unwinds through the request destructors while in flight).
+    if (cfg.persistent) plan.make_persistent(comm);
+    if (cfg.overlap) plan.make_partitioned(comm);
 
     CellArray3 own(Box<3>{{0, 0, 0}, N});
     CellArray3 fr(frame_box);
@@ -254,14 +233,19 @@ MethodRun run_method(M m, const FuzzConfig& cfg, mpi::FaultInjector* fi) {
         cells_to_bricks(dec, own, store, f);
       }
       if (cfg.overlap) {
-        if (ev)
-          overlap_round(*ev);
-        else
-          overlap_round(*ex);
-      } else if (ev) {
-        ev->exchange(comm);
+        // The partitioned replay: every send partition readied in flat
+        // order, every receive partition consumed in *reverse* order
+        // (deliberately not the arrival order), then the round closed.
+        // Delivered frames must still be bitwise identical to the bulk
+        // path — partition granularity may only change timing, never data.
+        plan.part_start();
+        const int ns = static_cast<int>(plan.send_parts().size());
+        for (int j = 0; j < ns; ++j) plan.part_pready(j);
+        const int nr = static_cast<int>(plan.recv_parts().size());
+        for (int j = nr - 1; j >= 0; --j) (void)plan.part_arrived(j);
+        plan.part_finish();
       } else {
-        ex->exchange(comm);
+        plan.exchange(comm);
       }
       for (int f = 0; f < cfg.fields; ++f) {
         bricks_to_cells(dec, store, f, fr);
@@ -269,15 +253,11 @@ MethodRun run_method(M m, const FuzzConfig& cfg, mpi::FaultInjector* fi) {
       }
     }
     if (comm.rank() == 0) {
+      out.msgs_per_exchange = plan.send_message_count();
+      out.wire_bytes = out.payload_bytes = plan.send_byte_count();
       if (ev) {
-        out.msgs_per_exchange = ev->send_message_count();
-        out.wire_bytes = ev->send_byte_count();
         out.payload_bytes = ev->payload_byte_count();
         out.padding_percent = ev->padding_overhead_percent();
-      } else {
-        out.msgs_per_exchange = ex->send_message_count();
-        out.wire_bytes = ex->send_byte_count();
-        out.payload_bytes = ex->send_byte_count();
       }
     }
   });

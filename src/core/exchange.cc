@@ -67,7 +67,7 @@ template std::vector<std::vector<int>> plan_send_groups<4>(
 template <int D>
 Exchanger<D>::Exchanger(const BrickDecomp<D>& dec, BrickStorage& storage,
                         const std::vector<int>& neighbor_ranks, Mode mode)
-    : storage_(&storage) {
+    : data_(storage.data()) {
   const auto& nbrs = dec.neighbor_order();
   BX_CHECK(neighbor_ranks.size() == nbrs.size(),
            "neighbor rank table does not match the decomposition");
@@ -75,12 +75,18 @@ Exchanger<D>::Exchanger(const BrickDecomp<D>& dec, BrickStorage& storage,
            "storage was not allocated from this decomposition");
   const bool merge = mode == Mode::Layout;
   const auto& chunks = storage.chunks();
+  auto sizes_of = [&](const std::vector<int>& regions) {
+    std::vector<std::size_t> sizes;
+    sizes.reserve(regions.size());
+    for (int o : regions)
+      sizes.push_back(chunks[static_cast<std::size_t>(o)].bytes);
+    return sizes;
+  };
 
   // Sends: for each direction, runs of surface chunks. Each scan over the
-  // region table and each message built is one-time plan work, tallied into
-  // the plan's setup cost.
+  // region table is one-time plan work, tallied into the setup cost.
   for (std::size_t v = 0; v < nbrs.size(); ++v) {
-    plan_.cost.regions += dec.surface_region_count();
+    add_cost({.regions = dec.surface_region_count()});
     const auto groups = plan_send_groups(dec, storage, nbrs[v], merge);
     BX_CHECK(static_cast<int>(groups.size()) <= kRunTagStride,
              "tag space too small for run count");
@@ -88,12 +94,13 @@ Exchanger<D>::Exchanger(const BrickDecomp<D>& dec, BrickStorage& storage,
       const auto& g = groups[k];
       const auto& first = chunks[static_cast<std::size_t>(g.front())];
       const auto& last = chunks[static_cast<std::size_t>(g.back())];
-      plan_.sends.push_back(PlanWire{neighbor_ranks[v],
-                                     static_cast<int>(v) * kRunTagStride +
-                                         static_cast<int>(k),
-                                     first.offset,
-                                     last.offset + last.bytes - first.offset});
-      send_regions_.push_back(g);
+      add_send(PlanWire{
+          .rank = neighbor_ranks[v],
+          .tag = static_cast<int>(v) * kRunTagStride + static_cast<int>(k),
+          .buf = storage.data() + first.offset,
+          .bytes = last.offset + last.bytes - first.offset,
+          .regions = g,
+          .part_bytes = sizes_of(g)});
     }
   }
 
@@ -115,28 +122,13 @@ Exchanger<D>::Exchanger(const BrickDecomp<D>& dec, BrickStorage& storage,
       }
       brickx::fail("ghost chunk not found for (nu, sigma)");
     };
-    plan_.cost.regions += dec.surface_region_count();
+    add_cost({.regions = dec.surface_region_count()});
     const auto groups = plan_send_groups(dec, storage, from_dir, merge);
     for (std::size_t k = 0; k < groups.size(); ++k) {
       const auto& g = groups[k];
-      std::size_t expect = 0;
-      for (int o : g)
-        expect += chunks[static_cast<std::size_t>(o)].bytes;
-      const int first_go = ghost_ordinal(
-          dec.regions()[static_cast<std::size_t>(g.front())].sigma);
-      const int last_go = ghost_ordinal(
-          dec.regions()[static_cast<std::size_t>(g.back())].sigma);
-      const auto& first = chunks[static_cast<std::size_t>(first_go)];
-      const auto& last = chunks[static_cast<std::size_t>(last_go)];
-      const std::size_t span = last.offset + last.bytes - first.offset;
-      BX_CHECK(span == expect,
-               "ghost chunk group is not contiguous where the sender merged");
-      plan_.recvs.push_back(PlanWire{neighbor_ranks[v],
-                                     from_v * kRunTagStride +
-                                         static_cast<int>(k),
-                                     first.offset, span});
       std::vector<int> ghosts;
       ghosts.reserve(g.size());
+      std::size_t expect = 0;
       for (int o : g) {
         const int go =
             ghost_ordinal(dec.regions()[static_cast<std::size_t>(o)].sigma);
@@ -144,88 +136,22 @@ Exchanger<D>::Exchanger(const BrickDecomp<D>& dec, BrickStorage& storage,
                      chunks[static_cast<std::size_t>(o)].bytes,
                  "ghost chunk size disagrees with the sender's surface chunk");
         ghosts.push_back(go);
+        expect += chunks[static_cast<std::size_t>(o)].bytes;
       }
-      recv_regions_.push_back(std::move(ghosts));
+      const auto& first = chunks[static_cast<std::size_t>(ghosts.front())];
+      const auto& last = chunks[static_cast<std::size_t>(ghosts.back())];
+      const std::size_t span = last.offset + last.bytes - first.offset;
+      BX_CHECK(span == expect,
+               "ghost chunk group is not contiguous where the sender merged");
+      std::vector<std::size_t> sizes = sizes_of(ghosts);
+      add_recv(PlanWire{.rank = neighbor_ranks[v],
+                        .tag = from_v * kRunTagStride + static_cast<int>(k),
+                        .buf = storage.data() + first.offset,
+                        .bytes = span,
+                        .regions = std::move(ghosts),
+                        .part_bytes = std::move(sizes)});
     }
   }
-  plan_.cost.messages +=
-      static_cast<std::int64_t>(plan_.sends.size() + plan_.recvs.size());
-}
-
-template <int D>
-void Exchanger<D>::make_persistent(mpi::Comm& comm) {
-  BX_CHECK(!pset_.bound(), "exchanger already bound to persistent requests");
-  BX_CHECK(pending_.empty(), "cannot bind while an exchange is in flight");
-  for (const PlanWire& w : plan_.recvs)
-    pset_.add_recv(
-        comm.recv_init(storage_->data() + w.offset, w.bytes, w.rank, w.tag));
-  for (const PlanWire& w : plan_.sends)
-    pset_.add_send(
-        comm.send_init(storage_->data() + w.offset, w.bytes, w.rank, w.tag));
-  pset_.mark_bound();
-}
-
-template <int D>
-void Exchanger<D>::make_partitioned(mpi::Comm& comm) {
-  BX_CHECK(!part_.bound(), "exchanger already bound to partitioned requests");
-  BX_CHECK(!pset_.bound(),
-           "persistent and partitioned bindings are mutually exclusive");
-  BX_CHECK(pending_.empty(), "cannot bind while an exchange is in flight");
-  const auto& chunks = storage_->chunks();
-  auto sizes_of = [&](const std::vector<int>& regions) {
-    std::vector<std::size_t> sizes;
-    sizes.reserve(regions.size());
-    for (int o : regions)
-      sizes.push_back(chunks[static_cast<std::size_t>(o)].bytes);
-    return sizes;
-  };
-  for (std::size_t i = 0; i < plan_.recvs.size(); ++i) {
-    const PlanWire& w = plan_.recvs[i];
-    auto sizes = sizes_of(recv_regions_[i]);
-    part_.add_recv(comm.precv_init(storage_->data() + w.offset, w.bytes,
-                                   w.rank, w.tag, sizes),
-                   recv_regions_[i], sizes);
-  }
-  for (std::size_t i = 0; i < plan_.sends.size(); ++i) {
-    const PlanWire& w = plan_.sends[i];
-    auto sizes = sizes_of(send_regions_[i]);
-    part_.add_send(comm.psend_init(storage_->data() + w.offset, w.bytes,
-                                   w.rank, w.tag, sizes),
-                   send_regions_[i], sizes);
-  }
-  part_.mark_bound();
-}
-
-template <int D>
-void Exchanger<D>::start(mpi::Comm& comm) {
-  BX_CHECK(pending_.empty(), "previous exchange still in flight");
-  if (pset_.bound()) {
-    pset_.start_all();
-    return;
-  }
-  pending_.reserve(plan_.sends.size() + plan_.recvs.size());
-  for (const PlanWire& w : plan_.recvs)
-    pending_.push_back(
-        comm.irecv(storage_->data() + w.offset, w.bytes, w.rank, w.tag));
-  for (const PlanWire& w : plan_.sends)
-    pending_.push_back(
-        comm.isend(storage_->data() + w.offset, w.bytes, w.rank, w.tag));
-}
-
-template <int D>
-void Exchanger<D>::finish(mpi::Comm& comm) {
-  if (pset_.bound()) {
-    pset_.wait_all();
-    return;
-  }
-  comm.waitall(pending_);
-}
-
-template <int D>
-std::int64_t Exchanger<D>::send_byte_count() const {
-  std::int64_t n = 0;
-  for (const PlanWire& w : plan_.sends) n += static_cast<std::int64_t>(w.bytes);
-  return n;
 }
 
 template class Exchanger<1>;
@@ -246,74 +172,29 @@ NetworkFloorExchanger<D>::NetworkFloorExchanger(
   std::size_t total = 0;
   std::vector<std::size_t> send_bytes(nbrs.size(), 0);
   for (std::size_t v = 0; v < nbrs.size(); ++v) {
-    plan_.cost.regions += dec.surface_region_count();
+    add_cost({.regions = dec.surface_region_count()});
     for (const auto& g : plan_send_groups(dec, storage, nbrs[v], true))
-      for (int o : g) {
-        const auto& c = storage.chunks()[static_cast<std::size_t>(o)];
-        send_bytes[v] += c.bytes;
-      }
+      for (int o : g)
+        send_bytes[v] += storage.chunks()[static_cast<std::size_t>(o)].bytes;
     total += 2 * send_bytes[v];  // send half + recv half
   }
   scratch_.resize(total ? total : 1);
-  std::size_t at = 0;
+  std::byte* at = scratch_.data();
   for (std::size_t v = 0; v < nbrs.size(); ++v) {
     if (send_bytes[v] == 0) continue;
-    plan_.sends.push_back(
-        PlanWire{neighbor_ranks[v], static_cast<int>(v), at, send_bytes[v]});
+    add_send(PlanWire{.rank = neighbor_ranks[v],
+                      .tag = static_cast<int>(v),
+                      .buf = at,
+                      .bytes = send_bytes[v]});
     at += send_bytes[v];
     // The matching receive has the same volume by symmetry of the
     // decomposition (neighbor at ν sends toward flip(ν), same geometry).
-    const int from_tag = dec.neighbor_ordinal(nbrs[v].flipped());
-    plan_.recvs.push_back(
-        PlanWire{neighbor_ranks[v], from_tag, at, send_bytes[v]});
+    add_recv(PlanWire{.rank = neighbor_ranks[v],
+                      .tag = dec.neighbor_ordinal(nbrs[v].flipped()),
+                      .buf = at,
+                      .bytes = send_bytes[v]});
     at += send_bytes[v];
   }
-  plan_.cost.messages +=
-      static_cast<std::int64_t>(plan_.sends.size() + plan_.recvs.size());
-}
-
-template <int D>
-void NetworkFloorExchanger<D>::make_persistent(mpi::Comm& comm) {
-  BX_CHECK(!pset_.bound(), "exchanger already bound to persistent requests");
-  BX_CHECK(pending_.empty(), "cannot bind while an exchange is in flight");
-  for (const PlanWire& w : plan_.recvs)
-    pset_.add_recv(
-        comm.recv_init(scratch_.data() + w.offset, w.bytes, w.rank, w.tag));
-  for (const PlanWire& w : plan_.sends)
-    pset_.add_send(
-        comm.send_init(scratch_.data() + w.offset, w.bytes, w.rank, w.tag));
-  pset_.mark_bound();
-}
-
-template <int D>
-void NetworkFloorExchanger<D>::start(mpi::Comm& comm) {
-  BX_CHECK(pending_.empty(), "previous exchange still in flight");
-  if (pset_.bound()) {
-    pset_.start_all();
-    return;
-  }
-  for (const PlanWire& w : plan_.recvs)
-    pending_.push_back(
-        comm.irecv(scratch_.data() + w.offset, w.bytes, w.rank, w.tag));
-  for (const PlanWire& w : plan_.sends)
-    pending_.push_back(
-        comm.isend(scratch_.data() + w.offset, w.bytes, w.rank, w.tag));
-}
-
-template <int D>
-void NetworkFloorExchanger<D>::finish(mpi::Comm& comm) {
-  if (pset_.bound()) {
-    pset_.wait_all();
-    return;
-  }
-  comm.waitall(pending_);
-}
-
-template <int D>
-std::int64_t NetworkFloorExchanger<D>::send_byte_count() const {
-  std::int64_t n = 0;
-  for (const PlanWire& w : plan_.sends) n += static_cast<std::int64_t>(w.bytes);
-  return n;
 }
 
 template class NetworkFloorExchanger<1>;

@@ -27,53 +27,18 @@ namespace brickx {
 /// accounting, plan costs and modeled timing are unchanged but messages no
 /// longer move storage bytes.
 template <int D>
-class ExchangeView {
+class ExchangeView : public ExchangePlan {
  public:
+  /// Each view wire carries one partition per padded region chunk in the
+  /// view (surface chunks on the send side, ghost chunks on the receive
+  /// side), so the plan can be bound by make_partitioned.
   ExchangeView(const BrickDecomp<D>& dec, BrickStorage& storage,
                const std::vector<int>& neighbor_ranks,
                bool alias_storage = true);
 
-  /// Bind every view wire to a persistent request; later rounds replay via
-  /// Persistent::start/wait on the resolved view spans.
-  void make_persistent(mpi::Comm& comm);
-  [[nodiscard]] bool persistent() const { return pset_.bound(); }
-
-  /// Bind every view wire to a *partitioned* request with one partition per
-  /// padded region chunk in the view (surface chunks on the send side,
-  /// ghost chunks on the receive side), for the dependency scheduler.
-  /// Mutually exclusive with make_persistent.
-  void make_partitioned(mpi::Comm& comm);
-  [[nodiscard]] bool partitioned() const { return part_.bound(); }
-
-  [[nodiscard]] const std::vector<PartSpec>& send_parts() const {
-    return part_.send_parts();
-  }
-  [[nodiscard]] const std::vector<PartSpec>& recv_parts() const {
-    return part_.recv_parts();
-  }
-  void part_start() { part_.start_all(); }
-  void part_pready(int j) { part_.pready(j); }
-  bool part_arrived(int j) { return part_.arrived(j); }
-  void part_finish() { part_.finish(); }
-
-  void start(mpi::Comm& comm);
-  void finish(mpi::Comm& comm);
-  void exchange(mpi::Comm& comm) {
-    start(comm);
-    finish(comm);
-  }
-
-  /// Modeled cost of building this plan: mmap view-span resolution
-  /// dominates (one entry per live segment), plus per-message init.
-  [[nodiscard]] PlanCost setup_cost() const;
-
-  /// Always 3^D - 1 (minus neighbors with empty payload).
-  [[nodiscard]] std::int64_t send_message_count() const {
-    return static_cast<std::int64_t>(sends_.size());
-  }
-  /// Bytes actually sent (page-padded views).
-  [[nodiscard]] std::int64_t send_byte_count() const;
-  /// Useful payload bytes within those views.
+  /// Useful payload bytes within the views (send_byte_count() includes the
+  /// page padding; send_message_count() is always 3^D - 1, minus neighbors
+  /// with empty payload).
   [[nodiscard]] std::int64_t payload_byte_count() const {
     return payload_bytes_;
   }
@@ -88,27 +53,14 @@ class ExchangeView {
   /// unified-memory aliases with the GPU simulator.
   template <typename F>
   void visit_views(F&& fn) const {
-    for (const VWire& w : sends_) fn(w.view);
-    for (const VWire& w : recvs_) fn(w.view);
+    for (const mm::View& v : send_views_) fn(v);
+    for (const mm::View& v : recv_views_) fn(v);
   }
 
  private:
-  struct VWire {
-    int rank;
-    int tag;
-    mm::View view;
-  };
   std::unique_ptr<std::byte[]> unmapped_;  ///< backs the views unless aliased
-  std::vector<VWire> sends_, recvs_;
-  PersistentSet pset_;
-  PartitionedSet part_;
-  // Region ordinals and page-padded byte counts carried by each wire,
-  // aligned with sends_/recvs_ — the partition tables for make_partitioned.
-  std::vector<std::vector<int>> send_regions_, recv_regions_;
-  std::vector<std::vector<std::size_t>> send_sizes_, recv_sizes_;
-  std::vector<mpi::Request> pending_;
+  std::vector<mm::View> send_views_, recv_views_;  ///< aligned with the wires
   std::int64_t payload_bytes_ = 0;
-  std::int64_t scanned_regions_ = 0;
 };
 
 }  // namespace brickx

@@ -56,8 +56,7 @@ template std::vector<std::array<int, 2>> shift_neighbors<3>(
 template <int D>
 ShiftExchanger<D>::ShiftExchanger(
     const BrickDecomp<D>& dec, BrickStorage& storage,
-    const std::vector<std::array<int, 2>>& axis_neighbor_ranks)
-    : storage_(&storage) {
+    const std::vector<std::array<int, 2>>& axis_neighbor_ranks) {
   BX_CHECK(axis_neighbor_ranks.size() == static_cast<std::size_t>(D),
            "need one neighbor pair per axis");
   BX_CHECK(storage.chunks().size() == dec.regions().size(),
@@ -81,7 +80,7 @@ ShiftExchanger<D>::ShiftExchanger(
   // receiver's chunk with band(a) flipped to L (resp. H), other axes
   // unchanged.
   for (int a = 0; a < D; ++a) {
-    Phase& phase = phases_[static_cast<std::size_t>(a)];
+    ExchangePlan& phase = phases_[static_cast<std::size_t>(a)];
     for (int d = 0; d < 2; ++d) {
       const int send_band = d == 0 ? kl : kh;
       const int recv_band = d == 0 ? kH : kL;  // at the receiving side
@@ -142,76 +141,42 @@ ShiftExchanger<D>::ShiftExchanger(
         // Tag space: phase, direction, run. The receiver matches the
         // sender's (same-phase, same-direction) tags.
         const int tag = (a * 2 + d) * 64 + run;
-        phase.sends.push_back(Wire{to_rank, tag, sfirst.offset, bytes});
-        phase.recvs.push_back(Wire{from_rank, tag, rfirst.offset, bytes});
+        phase.add_send(PlanWire{.rank = to_rank,
+                                .tag = tag,
+                                .buf = storage.data() + sfirst.offset,
+                                .bytes = bytes});
+        phase.add_recv(PlanWire{.rank = from_rank,
+                                .tag = tag,
+                                .buf = storage.data() + rfirst.offset,
+                                .bytes = bytes});
         ++run;
         i = j;
       }
       BX_CHECK(run <= 64, "tag space too small for shift runs");
-      cost_.regions += static_cast<std::int64_t>(dec.regions().size());
+      phase.add_cost(
+          {.regions = static_cast<std::int64_t>(dec.regions().size())});
     }
-    cost_.messages += static_cast<std::int64_t>(
-        phases_[static_cast<std::size_t>(a)].sends.size() +
-        phases_[static_cast<std::size_t>(a)].recvs.size());
   }
 }
 
 template <int D>
-void ShiftExchanger<D>::make_persistent(mpi::Comm& comm) {
-  BX_CHECK(!psets_[0].bound(),
-           "shift exchanger already bound to persistent requests");
-  for (int a = 0; a < D; ++a) {
-    const Phase& phase = phases_[static_cast<std::size_t>(a)];
-    PersistentSet& ps = psets_[static_cast<std::size_t>(a)];
-    for (const Wire& w : phase.recvs)
-      ps.add_recv(
-          comm.recv_init(storage_->data() + w.offset, w.bytes, w.rank, w.tag));
-    for (const Wire& w : phase.sends)
-      ps.add_send(
-          comm.send_init(storage_->data() + w.offset, w.bytes, w.rank, w.tag));
-    ps.mark_bound();
-  }
-}
-
-template <int D>
-void ShiftExchanger<D>::exchange(mpi::Comm& comm) {
-  if (psets_[0].bound()) {
-    for (PersistentSet& ps : psets_) {
-      ps.start_all();
-      // Phases are dependent: corner data forwarded in phase a+1 must have
-      // arrived in phase a.
-      ps.wait_all();
-    }
-    return;
-  }
-  for (const Phase& phase : phases_) {
-    std::vector<mpi::Request> pending;
-    pending.reserve(phase.sends.size() + phase.recvs.size());
-    for (const Wire& w : phase.recvs)
-      pending.push_back(
-          comm.irecv(storage_->data() + w.offset, w.bytes, w.rank, w.tag));
-    for (const Wire& w : phase.sends)
-      pending.push_back(
-          comm.isend(storage_->data() + w.offset, w.bytes, w.rank, w.tag));
-    // Phases are dependent: corner data forwarded in phase a+1 must have
-    // arrived in phase a.
-    comm.waitall(pending);
-  }
+PlanCost ShiftExchanger<D>::setup_cost() const {
+  PlanCost c;
+  for (const ExchangePlan& p : phases_) c += p.setup_cost();
+  return c;
 }
 
 template <int D>
 std::int64_t ShiftExchanger<D>::send_message_count() const {
   std::int64_t n = 0;
-  for (const Phase& p : phases_)
-    n += static_cast<std::int64_t>(p.sends.size());
+  for (const ExchangePlan& p : phases_) n += p.send_message_count();
   return n;
 }
 
 template <int D>
 std::int64_t ShiftExchanger<D>::send_byte_count() const {
   std::int64_t n = 0;
-  for (const Phase& p : phases_)
-    for (const Wire& w : p.sends) n += static_cast<std::int64_t>(w.bytes);
+  for (const ExchangePlan& p : phases_) n += p.send_byte_count();
   return n;
 }
 

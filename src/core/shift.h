@@ -34,37 +34,34 @@ class ShiftExchanger {
   ShiftExchanger(const BrickDecomp<D>& dec, BrickStorage& storage,
                  const std::vector<std::array<int, 2>>& axis_neighbor_ranks);
 
-  /// Bind every phase's wires to persistent requests (one set per phase;
-  /// the inter-phase waits are unchanged).
-  void make_persistent(mpi::Comm& comm);
-  [[nodiscard]] bool persistent() const { return psets_[0].bound(); }
+  /// Bind every phase's wires to persistent requests (one binding per
+  /// phase; the inter-phase waits are unchanged).
+  void make_persistent(mpi::Comm& comm) {
+    for (ExchangePlan& p : phases_) p.make_persistent(comm);
+  }
+  [[nodiscard]] bool persistent() const { return phases_[0].persistent(); }
 
   /// Run all D phases; each phase completes (waits) before the next posts,
-  /// which is the synchronization Shift trades for its low message count.
-  void exchange(mpi::Comm& comm);
+  /// which is the synchronization Shift trades for its low message count:
+  /// corner data forwarded in phase a+1 must have arrived in phase a.
+  void exchange(mpi::Comm& comm) {
+    for (ExchangePlan& p : phases_) p.exchange(comm);
+  }
 
-  /// Modeled cost of building the D phase schedules.
-  [[nodiscard]] PlanCost setup_cost() const { return cost_; }
-
-  /// Total messages this rank sends per exchange (summed over phases).
-  [[nodiscard]] std::int64_t send_message_count() const;
-  [[nodiscard]] std::int64_t send_byte_count() const;
+  /// Phase a's plan (axis a): the engine one phase of exchange() runs.
+  [[nodiscard]] ExchangePlan& phase(int a) {
+    return phases_[static_cast<std::size_t>(a)];
+  }
   [[nodiscard]] int phase_count() const { return D; }
 
+  /// Modeled cost of building the D phase schedules.
+  [[nodiscard]] PlanCost setup_cost() const;
+  /// Totals over the phases of one exchange.
+  [[nodiscard]] std::int64_t send_message_count() const;
+  [[nodiscard]] std::int64_t send_byte_count() const;
+
  private:
-  struct Wire {
-    int rank;
-    int tag;
-    std::size_t offset;
-    std::size_t bytes;
-  };
-  struct Phase {
-    std::vector<Wire> sends, recvs;
-  };
-  BrickStorage* storage_;
-  std::array<Phase, D> phases_;
-  std::array<PersistentSet, D> psets_;
-  PlanCost cost_;
+  std::array<ExchangePlan, D> phases_;
 };
 
 /// Neighbor ranks along each axis for ShiftExchanger.

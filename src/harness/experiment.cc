@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <functional>
 #include <optional>
@@ -290,24 +291,19 @@ Result run(const Config& cfg) {
              "2 * stencil radius) so a producer step exists to hide behind");
 
     // ---- storage, exchangers, compute closure per family ------------------
-    std::function<void()> pack_fn, start_fn, finish_fn, unpack_fn;
-    std::function<void(const Box<3>&)> compute_fn;
-    // Overlap-scheduler hooks (brick methods only): partitioned-round
-    // control plus a piece-compute variant that prices one step's
-    // region-by-region sweep as a single fused sweep.
-    std::function<void(const Box<3>&, bool)> compute_piece_fn;
-    std::function<void()> pstart_fn, pfinish_fn;
-    std::function<void(int)> pready_fn;
-    std::function<bool(int)> parrived_fn;
-    std::function<const std::vector<PartSpec>*()> psend_tbl_fn, precv_tbl_fn;
-    std::function<double()> host_pack_seconds;  // modeled on-node movement
+    // pack_fn/unpack_fn are the packing baseline's on-node copies.
+    // compute_fn(box, first) runs and prices one compute sweep; the overlap
+    // scheduler passes first = false for the later pieces of a step.
+    // rebuild_fn reconstructs the exchanger the upcoming round uses (the
+    // PerRound ablation, DESIGN.md §9).
+    std::function<void()> pack_fn, unpack_fn, rebuild_fn;
+    std::function<void(const Box<3>&, bool)> compute_fn;
     std::function<bool()> validate_fn;
-    // Plan lifetime hooks, set per family below: bind_fn binds the frozen
-    // plan(s) to persistent requests (BuildOnce); rebuild_fn reconstructs
-    // the exchanger the upcoming round uses (PerRound); plan_cost_fn
-    // returns the modeled cost of one plan build. replan_fn composes them.
-    std::function<void()> bind_fn, rebuild_fn, replan_fn;
-    std::function<PlanCost()> plan_cost_fn;
+    // The exchange engine each input buffer's rounds run on, and the origin
+    // its datatype wires are laid over (MPI_Types only). Shift has none: its
+    // D dependent phases run back to back inside the wait phase.
+    std::array<ExchangePlan*, 2> engine{};
+    std::array<void*, 2> origin{};
     int plan_copies = 1;  ///< plans built up front (2 for double-buffered)
     int input = 0;  // double-buffer selector
 
@@ -316,7 +312,7 @@ Result run(const Config& cfg) {
     std::optional<BrickInfo<3>> info;
     std::vector<BrickStorage> stores;
     std::vector<Exchanger<3>> exs;
-    std::vector<ExchangeView<3>> evs;
+    std::optional<ExchangeView<3>> view;
     std::vector<ShiftExchanger<3>> shs;
     std::optional<NetworkFloorExchanger<3>> floor;
     // Array family state (afields replaces fields when cfg.fields > 1).
@@ -331,10 +327,7 @@ Result run(const Config& cfg) {
 
     if (is_brick) {
       dec.emplace(N, g, Vec3::fill(cfg.brick),
-                  !cfg.layout.order.empty()
-                      ? cfg.layout
-                      : (cfg.lexicographic_layout ? lexicographic_layout(3)
-                                                  : surface3d()));
+                  cfg.layout.order.empty() ? surface3d() : cfg.layout);
       info.emplace(dec->brick_info());
       // MemMap over unified memory must align chunks to the *UM* page size
       // (64 KiB on Power9/ATS) — that alignment is what spares its compute
@@ -358,10 +351,10 @@ Result run(const Config& cfg) {
         // read no ghost byte, so their views are not mapped at all.
         BX_CHECK(stencil::steps_per_exchange(g, r) % 2 == 0,
                  "MemMap double buffering expects an even exchange period");
-        evs.emplace_back(*dec, stores[0], ranks, execute);
+        view.emplace(*dec, stores[0], ranks, execute);
         if (cfg.gpu == GpuMode::Unified) {
           // Views alias the canonical unified pages.
-          evs.back().visit_views([&](const mm::View& v) {
+          view->visit_views([&](const mm::View& v) {
             for (const auto& seg : v.segment_map())
               regs.alias(v.data() + seg.view_offset, seg.length,
                          stores[0].data() + seg.file_offset);
@@ -369,103 +362,40 @@ Result run(const Config& cfg) {
         } else if (cfg.gpu == GpuMode::CudaAware) {
           // cuMemMap future-work mode: the views are device memory too, so
           // the NIC reads them via GPUDirect with no faults.
-          evs.back().visit_views([&](const mm::View& v) {
+          view->visit_views([&](const mm::View& v) {
             regs.range(v.data(), v.size(), mpi::MemSpace::Device);
           });
         }
-        out.msgs = evs[0].send_message_count();
-        out.wire = evs[0].send_byte_count();
-        out.payload = evs[0].payload_byte_count();
-        out.padding = evs[0].padding_overhead_percent();
-        start_fn = [&] {
-          BX_CHECK(input == 0, "exchange landed on the view-less buffer");
-          evs[0].start(comm);
-        };
-        finish_fn = [&] { evs[0].finish(comm); };
-        bind_fn = [&] {
-          if (cfg.overlap) {
-            evs[0].make_partitioned(comm);
-          } else {
-            evs[0].make_persistent(comm);
-          }
-        };
-        if (cfg.overlap) {
-          pstart_fn = [&] { evs[0].part_start(); };
-          pfinish_fn = [&] { evs[0].part_finish(); };
-          pready_fn = [&](int j) { evs[0].part_pready(j); };
-          parrived_fn = [&](int j) { return evs[0].part_arrived(j); };
-          psend_tbl_fn = [&] { return &evs[0].send_parts(); };
-          precv_tbl_fn = [&] { return &evs[0].recv_parts(); };
-        }
+        engine[0] = &*view;
         rebuild_fn = [&, ranks] {
-          // clear-then-emplace: tears down the old mmap views before
+          // reset-then-emplace: tears down the old mmap views before
           // stitching fresh ones (PerRound is CPU-only, so no GPU aliases
           // need re-registering).
-          evs.clear();
-          evs.emplace_back(*dec, stores[0], ranks, execute);
+          view.reset();
+          view.emplace(*dec, stores[0], ranks, execute);
         };
-        plan_cost_fn = [&] { return evs[0].setup_cost(); };
       } else if (cfg.method == Method::Shift) {
         const auto axis_ranks = shift_neighbors(cart);
         for (auto& st : stores) shs.emplace_back(*dec, st, axis_ranks);
-        out.msgs = shs[0].send_message_count();
-        out.wire = out.payload = shs[0].send_byte_count();
-        // Shift's phases wait internally; attribute the whole exchange to
-        // the wait phase via finish (start is a no-op).
-        start_fn = [] {};
-        finish_fn = [&] {
-          shs[static_cast<std::size_t>(input)].exchange(comm);
-        };
-        bind_fn = [&] {
-          for (auto& sh : shs) sh.make_persistent(comm);
-        };
         rebuild_fn = [&, axis_ranks] {
           shs[static_cast<std::size_t>(input)] = ShiftExchanger<3>(
               *dec, stores[static_cast<std::size_t>(input)], axis_ranks);
         };
-        plan_cost_fn = [&] { return shs[0].setup_cost(); };
         plan_copies = 2;
       } else if (cfg.method == Method::Network) {
         floor.emplace(*dec, stores[0], ranks);
-        out.msgs = floor->send_message_count();
-        out.wire = out.payload = floor->send_byte_count();
-        start_fn = [&] { floor->start(comm); };
-        finish_fn = [&] { floor->finish(comm); };
-        bind_fn = [&] { floor->make_persistent(comm); };
+        engine = {&*floor, &*floor};
         rebuild_fn = [&, ranks] { floor.emplace(*dec, stores[0], ranks); };
-        plan_cost_fn = [&] { return floor->setup_cost(); };
       } else {
         const auto mode = cfg.method == Method::Layout
                               ? Exchanger<3>::Mode::Layout
                               : Exchanger<3>::Mode::Basic;
         for (auto& s : stores) exs.emplace_back(*dec, s, ranks, mode);
-        out.msgs = exs[0].send_message_count();
-        out.wire = out.payload = exs[0].send_byte_count();
-        start_fn = [&] { exs[static_cast<std::size_t>(input)].start(comm); };
-        finish_fn = [&] { exs[static_cast<std::size_t>(input)].finish(comm); };
-        bind_fn = [&] {
-          if (cfg.overlap) {
-            // The exchange period is even, so exchanger 0 carries every
-            // round on both the consumer (s == 0) and the producer
-            // (s == k-1) side; exchanger 1 is never used under overlap.
-            exs[0].make_partitioned(comm);
-          } else {
-            for (auto& ex : exs) ex.make_persistent(comm);
-          }
-        };
-        if (cfg.overlap) {
-          pstart_fn = [&] { exs[0].part_start(); };
-          pfinish_fn = [&] { exs[0].part_finish(); };
-          pready_fn = [&](int j) { exs[0].part_pready(j); };
-          parrived_fn = [&](int j) { return exs[0].part_arrived(j); };
-          psend_tbl_fn = [&] { return &exs[0].send_parts(); };
-          precv_tbl_fn = [&] { return &exs[0].recv_parts(); };
-        }
+        engine = {&exs[0], &exs[1]};
         rebuild_fn = [&, ranks, mode] {
           exs[static_cast<std::size_t>(input)] = Exchanger<3>(
               *dec, stores[static_cast<std::size_t>(input)], ranks, mode);
         };
-        plan_cost_fn = [&] { return exs[0].setup_cost(); };
         plan_copies = 2;
       }
 
@@ -476,7 +406,13 @@ Result run(const Config& cfg) {
         cells_to_bricks(*dec, seed, stores[0], f);
       }
 
-      compute_fn = [&](const Box<3>& box) {
+      // The scheduler's pieces of one step form a single fused sweep that
+      // publishes per-region completion, so the fixed per-sweep cost
+      // (OpenMP fork/join on CPU, kernel launch on GPU) and the per-chunk
+      // UM touch pass are charged once per step — on the `first` piece —
+      // and later pieces cost marginal volume only. A whole-box step is
+      // its own first piece.
+      compute_fn = [&](const Box<3>& box, bool first) {
         if (execute)
           compute_bricks(cfg, *dec, *info,
                          stores[static_cast<std::size_t>(input)],
@@ -484,38 +420,12 @@ Result run(const Config& cfg) {
         double secs;
         if (cfg.gpu != GpuMode::None) {
           secs = device->kernel_seconds(box.volume(), flops, kBytesPerCell);
-          // The kernel touches chunk *payloads* only: page-padding tails are
-          // never read by compute, so they stay wherever the exchange left
-          // them.
-          for (int f = 0; f < 2; ++f) {
-            BrickStorage& s = stores[static_cast<std::size_t>(f)];
-            for (const auto& c : s.chunks())
-              secs += device->touch_device(s.data() + c.offset, c.bytes);
-          }
-        } else {
-          secs = model::cpu_stencil_seconds(cfg.machine,
-                                            box.volume() * cfg.fields, flops,
-                                            kBytesPerCell,
-                                            cfg.method == Method::Yask);
-        }
-        comm.compute(secs);
-      };
-
-      // The scheduler's piece path: one step's region-by-region pieces form
-      // a single fused sweep that publishes per-region completion, so the
-      // fixed per-sweep cost (OpenMP fork/join on CPU, kernel launch on
-      // GPU) and the per-chunk UM touch pass are charged once per step —
-      // on the `first` piece — and later pieces cost marginal volume only.
-      compute_piece_fn = [&](const Box<3>& box, bool first) {
-        if (execute)
-          compute_bricks(cfg, *dec, *info,
-                         stores[static_cast<std::size_t>(input)],
-                         stores[static_cast<std::size_t>(1 - input)], box);
-        double secs;
-        if (cfg.gpu != GpuMode::None) {
-          secs = device->kernel_seconds(box.volume(), flops, kBytesPerCell);
-          if (!first) secs -= cfg.machine.gpu.launch_overhead;
-          if (first) {
+          if (!first) {
+            secs -= cfg.machine.gpu.launch_overhead;
+          } else {
+            // The kernel touches chunk *payloads* only: page-padding tails
+            // are never read by compute, so they stay wherever the
+            // exchange left them.
             for (int f = 0; f < 2; ++f) {
               BrickStorage& st = stores[static_cast<std::size_t>(f)];
               for (const auto& c : st.chunks())
@@ -568,8 +478,7 @@ Result run(const Config& cfg) {
       for (const auto& d : dirs) ranks.push_back(cart.neighbor(d));
       if (cfg.method == Method::Yask) {
         packer.emplace(N, g, dirs, ranks, cfg.fields);
-        out.msgs = packer->send_message_count();
-        out.wire = out.payload = packer->send_byte_count();
+        engine = {&*packer, &*packer};
         // On-node cost per half-exchange: CPU runs price the strided
         // pack; manual GPU staging prices a bandwidth-bound pack kernel
         // plus shuttling the 26 packed buffers across the CPU-GPU link
@@ -591,8 +500,6 @@ Result run(const Config& cfg) {
                   : packer->pack(fields[static_cast<std::size_t>(input)]);
           comm.compute(onnode_seconds(b));
         };
-        start_fn = [&] { packer->start(comm); };
-        finish_fn = [&] { packer->finish(comm); };
         unpack_fn = [&, onnode_seconds] {
           const std::size_t b =
               cfg.fields > 1
@@ -600,38 +507,20 @@ Result run(const Config& cfg) {
                   : packer->unpack(fields[static_cast<std::size_t>(input)]);
           comm.compute(onnode_seconds(b));
         };
-        bind_fn = [&] { packer->make_persistent(comm); };
         // dirs/ranks are block-local; the rebuild closure outlives them.
         rebuild_fn = [&, dirs, ranks] {
           packer.emplace(N, g, dirs, ranks, cfg.fields);
         };
-        plan_cost_fn = [&] { return packer->setup_cost(); };
       } else if (cfg.method == Method::MpiTypes) {
         if (cfg.fields > 1) {
           typer.emplace(N, g, dirs, ranks, afields[0]);
         } else {
           typer.emplace(N, g, dirs, ranks, fields[0]);
         }
-        out.msgs = typer->send_message_count();
-        out.wire = out.payload = typer->send_byte_count();
-        start_fn = [&] {
-          if (cfg.fields > 1) {
-            typer->start(comm, afields[static_cast<std::size_t>(input)]);
-          } else {
-            typer->start(comm, fields[static_cast<std::size_t>(input)]);
-          }
-        };
-        finish_fn = [&] { typer->finish(comm); };
-        // Persistent MPI freezes the buffer address; binding to fields[0]
-        // is safe because steps_per_exchange is always even, so every
-        // exchange round lands on input == 0 (checked in start()).
-        bind_fn = [&] {
-          if (cfg.fields > 1) {
-            typer->make_persistent(comm, afields[0]);
-          } else {
-            typer->make_persistent(comm, fields[0]);
-          }
-        };
+        engine = {&*typer, &*typer};
+        for (std::size_t i = 0; i < 2; ++i)
+          origin[i] = cfg.fields > 1 ? afields[i].raw().data()
+                                     : fields[i].raw().data();
         rebuild_fn = [&, dirs, ranks] {
           if (cfg.fields > 1) {
             typer.emplace(N, g, dirs, ranks, afields[0]);
@@ -639,7 +528,6 @@ Result run(const Config& cfg) {
             typer.emplace(N, g, dirs, ranks, fields[0]);
           }
         };
-        plan_cost_fn = [&] { return typer->setup_cost(); };
       } else {
         brickx::fail("unsupported array-family method");
       }
@@ -652,7 +540,7 @@ Result run(const Config& cfg) {
         fill_init(fields[0].raw().data(), frame, offset, 0);
       }
 
-      compute_fn = [&](const Box<3>& box) {
+      compute_fn = [&](const Box<3>& box, bool /*first*/) {
         if (execute) {
           if (cfg.fields > 1) {
             // Field slabs are laid out exactly like a frame-shaped
@@ -710,34 +598,59 @@ Result run(const Config& cfg) {
       };
     }
 
+    // ---- per-exchange accounting and the cost of one plan build ------------
+    const bool shift = cfg.method == Method::Shift;
+    const PlanCost plan_cost =
+        shift ? shs[0].setup_cost() : engine[0]->setup_cost();
+    out.msgs = shift ? shs[0].send_message_count()
+                     : engine[0]->send_message_count();
+    out.wire = out.payload =
+        shift ? shs[0].send_byte_count() : engine[0]->send_byte_count();
+    if (view) {
+      out.payload = view->payload_byte_count();
+      out.padding = view->padding_overhead_percent();
+    }
+
     // ---- plan lifetime (DESIGN.md §9) --------------------------------------
+    out.builds = plan_copies;
     if (cfg.plan == PlanMode::BuildOnce) {
-      // Bind the frozen plan(s) to persistent requests and charge the
-      // modeled one-time build cost now — before warmup and the barrier
-      // below. The barrier equalizes every rank's clock, so measured
-      // results stay byte-identical to pre-plan builds; the setup cost is
-      // visible only through Result::setup_seconds and the trace.
+      // Bind the frozen plan(s) and charge the modeled one-time build cost
+      // now — before warmup and the barrier below. The barrier equalizes
+      // every rank's clock, so measured results stay byte-identical to
+      // pre-plan builds; the setup cost is visible only through
+      // Result::setup_seconds and the trace.
       const double t0 = comm.clock().now();
       {
         obs::ObsSpan sp(obs::Cat::Setup, "plan_setup", -1);
-        if (bind_fn) bind_fn();
-        if (plan_cost_fn) {
-          double secs = 0;
-          for (int i = 0; i < plan_copies; ++i)
-            secs += plan_cost_fn().seconds(comm.net());
-          comm.compute(secs);
+        if (shift) {
+          for (auto& sh : shs) sh.make_persistent(comm);
+        } else if (cfg.overlap) {
+          // The exchange period is even, so engine 0 carries every round
+          // on both the consumer (s == 0) and the producer (s == k-1)
+          // side; a second exchanger is never used under overlap.
+          engine[0]->make_partitioned(comm);
+        } else {
+          // Persistent MPI freezes the buffer address; binding to origin 0
+          // is safe because every round lands on input 0 (the even period
+          // again), which the engine checks on every start.
+          engine[0]->make_persistent(comm, origin[0]);
+          if (engine[1] != nullptr && engine[1] != engine[0])
+            engine[1]->make_persistent(comm, origin[1]);
         }
+        double secs = 0;
+        for (int i = 0; i < plan_copies; ++i)
+          secs += plan_cost.seconds(comm.net());
+        comm.compute(secs);
       }
       out.setup = comm.clock().now() - t0;
-      out.builds = plan_copies;
-    } else {
-      out.builds = plan_copies;  // the constructions above
-      replan_fn = [&] {
-        if (rebuild_fn) rebuild_fn();
-        if (plan_cost_fn) comm.compute(plan_cost_fn().seconds(comm.net()));
-        ++out.builds;
-      };
     }
+    // The engine this round's input buffer exchanges on. MemMap has none
+    // for stores[1]: the even exchange period never lands a round there.
+    auto round_engine = [&]() -> ExchangePlan& {
+      ExchangePlan* e = engine[static_cast<std::size_t>(input)];
+      BX_CHECK(e != nullptr, "exchange landed on a buffer without a plan");
+      return *e;
+    };
 
     // ---- the timestep loop -------------------------------------------------
     // Each phase is both delta-accumulated on the virtual clock (works with
@@ -786,17 +699,20 @@ Result run(const Config& cfg) {
       // steps (phase_sum and the exporters filter on step >= 0 / < 0, so
       // which negative id a warmup span carries is invisible to them).
       const std::int64_t id = measured ? step : -2 - step;
-      if (s == 0 && replan_fn) {
+      if (s == 0 && cfg.plan == PlanMode::PerRound) {
         // PerRound ablation: tear down and rebuild this round's plan inside
         // the measured loop, charging the modeled build cost each time.
         const double r0 = now();
         {
           obs::ObsSpan sp(obs::Cat::Setup, "replan", id);
-          replan_fn();
+          rebuild_fn();
+          comm.compute(plan_cost.seconds(comm.net()));
+          ++out.builds;
         }
         if (measured) out.replan += now() - r0;
       }
       if (s == 0 && cfg.overlap) {
+        ExchangePlan& pe = *engine[0];
         // Consumer side of a partitioned round. The round was normally
         // opened (and every partition readied) by the previous producer
         // step; the first round of the run cold-starts here instead, since
@@ -804,9 +720,9 @@ Result run(const Config& cfg) {
         const double t0 = now();
         if (!round_open) {
           obs::ObsSpan sp(obs::Cat::Call, "call", id);
-          pstart_fn();
-          const int nsend = static_cast<int>(psend_tbl_fn()->size());
-          for (int j = 0; j < nsend; ++j) pready_fn(j);
+          pe.part_start();
+          const int nsend = static_cast<int>(pe.send_parts().size());
+          for (int j = 0; j < nsend; ++j) pe.part_pready(j);
           round_open = true;
         }
         const double t1 = now();
@@ -816,13 +732,13 @@ Result run(const Config& cfg) {
         const Box<3> interior{Vec3::fill(r), N - Vec3::fill(r)};
         {
           obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-          compute_piece_fn(interior, /*first=*/true);
+          compute_fn(interior, /*first=*/true);
         }
         const double t2 = now();
         // Shell pieces wait only on the ghost partitions their stencil
         // footprint (piece expanded by the radius) actually reads.
         double shell_wait = 0, shell_calc = 0;
-        const std::vector<PartSpec>& rp = *precv_tbl_fn();
+        const std::vector<PartSpec>& rp = pe.recv_parts();
         std::vector<char> consumed(rp.size(), 0);
         for (const Box<3>& b : stencil::shell_boxes<3>(whole, interior)) {
           const Box<3> need{b.lo - Vec3::fill(r), b.hi + Vec3::fill(r)};
@@ -833,14 +749,14 @@ Result run(const Config& cfg) {
               if (consumed[j]) continue;
               if (!boxes_overlap(region_cell_box(rp[j].region), need))
                 continue;
-              parrived_fn(static_cast<int>(j));
+              pe.part_arrived(static_cast<int>(j));
               consumed[j] = 1;
             }
           }
           const double w1 = now();
           {
             obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-            compute_piece_fn(b, /*first=*/false);
+            compute_fn(b, /*first=*/false);
           }
           shell_wait += w1 - w0;
           shell_calc += now() - w1;
@@ -848,7 +764,7 @@ Result run(const Config& cfg) {
         const double t3 = now();
         {
           obs::ObsSpan sp(obs::Cat::Wait, "wait", id);
-          pfinish_fn();
+          pe.part_finish();
           round_open = false;
         }
         const double t4 = now();
@@ -861,6 +777,7 @@ Result run(const Config& cfg) {
         return;
       }
       if (s == k - 1 && cfg.overlap && !no_prestart) {
+        ExchangePlan& pe = *engine[0];
         // Producer side: open the next round up front (receives post
         // first), then compute this step's boundary regions one by one,
         // readying each outgoing partition the moment its source region is
@@ -869,25 +786,25 @@ Result run(const Config& cfg) {
         const double t0 = now();
         {
           obs::ObsSpan sp(obs::Cat::Call, "call", id);
-          pstart_fn();
+          pe.part_start();
           round_open = true;
         }
         const double t1 = now();
         double prod_calc = 0, prod_call = 0;
-        const std::vector<PartSpec>& sp_tbl = *psend_tbl_fn();
+        const std::vector<PartSpec>& sp_tbl = pe.send_parts();
         bool first = true;
         for (int o = 0; o < dec->surface_region_count(); ++o) {
           const double c0 = now();
           {
             obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-            compute_piece_fn(region_cell_box(o), first);
+            compute_fn(region_cell_box(o), first);
           }
           first = false;
           const double c1 = now();
           {
             obs::ObsSpan sp(obs::Cat::Call, "call", id);
             for (std::size_t j = 0; j < sp_tbl.size(); ++j)
-              if (sp_tbl[j].region == o) pready_fn(static_cast<int>(j));
+              if (sp_tbl[j].region == o) pe.part_pready(static_cast<int>(j));
           }
           prod_calc += c1 - c0;
           prod_call += now() - c1;
@@ -895,8 +812,8 @@ Result run(const Config& cfg) {
         {
           const double c0 = now();
           obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-          compute_piece_fn(region_cell_box(dec->interior_ordinal()),
-                           /*first=*/false);
+          compute_fn(region_cell_box(dec->interior_ordinal()),
+                     /*first=*/false);
           prod_calc += now() - c0;
         }
         if (measured) {
@@ -915,12 +832,20 @@ Result run(const Config& cfg) {
         const double t1 = now();
         {
           obs::ObsSpan sp(obs::Cat::Call, "call", id);
-          start_fn();
+          if (!shift)
+            round_engine().start(comm,
+                                 origin[static_cast<std::size_t>(input)]);
         }
         const double t2 = now();
         {
           obs::ObsSpan sp(obs::Cat::Wait, "wait", id);
-          finish_fn();
+          // Shift's phases wait on each other: bill the whole exchange to
+          // the wait phase (its call phase is empty).
+          if (shift) {
+            shs[static_cast<std::size_t>(input)].exchange(comm);
+          } else {
+            round_engine().finish(comm);
+          }
         }
         const double t3 = now();
         if (unpack_fn) {
@@ -937,7 +862,8 @@ Result run(const Config& cfg) {
       const double c0 = now();
       {
         obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-        compute_fn(stencil::expansion_output_box<3>(N, g, r, s));
+        compute_fn(stencil::expansion_output_box<3>(N, g, r, s),
+                   /*first=*/true);
       }
       if (measured) out.calc += now() - c0;
       input = 1 - input;

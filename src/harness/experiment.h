@@ -82,15 +82,10 @@ struct Config {
   /// (not virtual-time) cost is the only difference.
   bool naive_kernels = false;
   bool validate = false;       ///< compare against the global reference
-  /// Fig. 10's "No-Layout": fine-grained blocking with lexicographic region
-  /// order instead of the optimized surface3d (compute is unaffected —
-  /// that is the point of the figure).
-  bool lexicographic_layout = false;
   /// Explicit brick-region layout override — the autotuner's layout lever
-  /// (src/tune, DESIGN.md §15). An empty order (the default) keeps the
-  /// historical choice: surface3d(), or lexicographic_layout(3) under the
-  /// flag above. When set it must be a valid 3-D layout and it wins over
-  /// the flag.
+  /// (src/tune, DESIGN.md §15) and Fig. 10's "No-Layout"
+  /// (lexicographic_layout(3)). An empty order (the default) keeps the
+  /// optimized surface3d(). When set it must be a valid 3-D layout.
   LayoutSpec layout{};
   /// Force a timing-only run (execute_kernels = false); the tuned-artifact
   /// schema and the tuner's canonical key carry it. Timing-only MemMap

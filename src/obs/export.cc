@@ -119,7 +119,8 @@ std::string chrome_trace_json(const Session& s) {
 
     // Messages: a slice on the sender's net track for the wire time, a
     // zero-duration arrival marker on the receiver's, and a flow arrow
-    // (s/f) connecting them. Sorted like the legacy Runtime::trace().
+    // (s/f) connecting them. Sorted by departure, then (src, dst, tag), so
+    // the export order is independent of rank-thread interleaving.
     std::vector<FlowEvent> flows;
     for (int r = 0; r < run.nranks; ++r) {
       const auto& fs = run.logs[static_cast<std::size_t>(r)].flows();

@@ -83,8 +83,8 @@ struct SpanEvent {
   double t1 = 0.0;
 };
 
-/// One point-to-point message, recorded sender-side (subsumes the old
-/// simmpi MsgEvent trace). Exported as flow arrows in Chrome traces.
+/// One point-to-point message, recorded sender-side. Exported as flow
+/// arrows in Chrome traces.
 struct FlowEvent {
   int src;
   int dst;
@@ -173,7 +173,6 @@ class RankLog {
   void note_span(Cat cat, const char* name, double t0, double t1);
 
   void flow(const FlowEvent& f) { flows_.push_back(f); }
-  void clear_flows() { flows_.clear(); }
   void recv(const RecvEvent& r) { recvs_.push_back(r); }
   void collective(const CollEvent& c) { colls_.push_back(c); }
 
@@ -290,7 +289,6 @@ class RankLog {
   void close_span(std::size_t, double) {}
   void note_span(Cat, const char*, double, double) {}
   void flow(const FlowEvent&) {}
-  void clear_flows() {}
   void recv(const RecvEvent&) {}
   void collective(const CollEvent&) {}
   void counter_add(std::string_view, std::int64_t) {}

@@ -1264,39 +1264,6 @@ Envelope Runtime::match(int self, int src, int tag, int part) {
   }
 }
 
-void Runtime::enable_trace(bool on) {
-  if (on) {
-    if (!owned_trace_)
-      owned_trace_ = std::make_unique<obs::Collector>(nranks_);
-    collector_ = owned_trace_.get();
-  } else if (collector_ == owned_trace_.get()) {
-    collector_ = nullptr;
-  }
-}
-
-std::vector<MsgEvent> Runtime::trace() const {
-  std::vector<MsgEvent> t;
-  if (collector_ != nullptr) {
-    for (int r = 0; r < nranks_; ++r)
-      for (const obs::FlowEvent& f : collector_->log(r).flows())
-        t.push_back(MsgEvent{f.src, f.dst, f.tag,
-                             static_cast<std::size_t>(f.bytes), f.depart,
-                             f.arrive});
-  }
-  std::sort(t.begin(), t.end(), [](const MsgEvent& a, const MsgEvent& b) {
-    if (a.departure != b.departure) return a.departure < b.departure;
-    if (a.src != b.src) return a.src < b.src;
-    if (a.dst != b.dst) return a.dst < b.dst;
-    return a.tag < b.tag;
-  });
-  return t;
-}
-
-void Runtime::clear_trace() {
-  if (collector_ == nullptr) return;
-  for (int r = 0; r < nranks_; ++r) collector_->log(r).clear_flows();
-}
-
 double Runtime::final_vtime(int rank) const {
   return final_vtimes_[static_cast<std::size_t>(rank)];
 }

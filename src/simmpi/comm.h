@@ -379,17 +379,6 @@ struct MemHooks {
       touch;
 };
 
-/// One recorded point-to-point message (legacy view of the obs flow trace;
-/// see Runtime::enable_trace). Times are virtual seconds.
-struct MsgEvent {
-  int src;
-  int dst;
-  int tag;
-  std::size_t bytes;
-  double departure;  ///< sender NIC finished injecting
-  double arrival;    ///< receiver-visible arrival of the last byte
-};
-
 /// Owns the rank threads, mailboxes and shared model. One Runtime per
 /// simulated job.
 class Runtime {
@@ -445,14 +434,6 @@ class Runtime {
   /// covers; the caller keeps ownership and reads counts() afterwards.
   void set_fault_injector(FaultInjector* fi) { fault_ = fi; }
   [[nodiscard]] FaultInjector* fault_injector() const { return fault_; }
-
-  /// Legacy trace API, now a shim over the obs flow log: enables an
-  /// internally owned Collector. Off by default.
-  void enable_trace(bool on = true);
-  /// Recorded messages in sender-departure order (stable across runs —
-  /// the virtual clock is deterministic).
-  [[nodiscard]] std::vector<MsgEvent> trace() const;
-  void clear_trace();
 
   /// Per-rank results collected after run(): final virtual time and
   /// counters of rank r.
@@ -513,7 +494,6 @@ class Runtime {
   std::vector<CommCounters> final_counters_;
 
   obs::Collector* collector_ = nullptr;
-  std::unique_ptr<obs::Collector> owned_trace_;  ///< backs enable_trace()
   FaultInjector* fault_ = nullptr;
 
   transport::Kind transport_ = transport::Kind::Flat;

@@ -38,8 +38,7 @@ std::string canonical_key(const harness::Config& cfg) {
      << ",warmup=" << cfg.warmup_exchanges << ",page=" << cfg.page_size;
   os << ",exec=" << (cfg.execute_kernels ? 1 : 0)
      << ",naive=" << (cfg.naive_kernels ? 1 : 0)
-     << ",validate=" << (cfg.validate ? 1 : 0)
-     << ",lexi=" << (cfg.lexicographic_layout ? 1 : 0);
+     << ",validate=" << (cfg.validate ? 1 : 0);
   os << ",layout=";
   for (std::size_t i = 0; i < cfg.layout.order.size(); ++i)
     os << (i ? ":" : "") << cfg.layout.order[i].raw();
@@ -56,9 +55,8 @@ std::string canonical_key(const harness::Config& cfg) {
 // ---------------------------------------------------------------------------
 // EvalCache
 
-EvalCache::EvalCache(bool verify_keys, int hash_bits)
-    : verify_keys_(verify_keys),
-      mask_(hash_bits >= 64 ? ~0ull : ((1ull << hash_bits) - 1)) {
+EvalCache::EvalCache(int hash_bits)
+    : mask_(hash_bits >= 64 ? ~0ull : ((1ull << hash_bits) - 1)) {
   BX_CHECK(hash_bits >= 1 && hash_bits <= 64,
            "EvalCache: hash_bits out of range");
 }
@@ -74,14 +72,6 @@ std::optional<Evaluation> EvalCache::lookup(const std::string& key) {
   if (it == buckets_.end()) {
     ++stats_.misses;
     return std::nullopt;
-  }
-  if (!verify_keys_) {
-    // Hash-trusting fast path: the first bucket entry wins. Distinct
-    // configs whose hashes collide WOULD alias here — which is exactly
-    // what the serialize-and-compare mode makes impossible (and what the
-    // cache tests demonstrate with a masked hash).
-    ++stats_.hits;
-    return it->second.front().eval;
   }
   for (const Entry& e : it->second) {
     if (e.key == key) {

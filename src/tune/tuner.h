@@ -42,13 +42,11 @@ struct Evaluation {
 };
 
 /// Memo cache for candidate evaluations, shared across tune() calls and
-/// safe for concurrent workers. `verify_keys` (the default) is the
-/// serialize-and-compare mode: a bucket hit only counts as a cache hit
-/// when the stored canonical string equals the probe's, so hash
-/// collisions on distinct configs are structurally impossible — they are
-/// detected, counted, and chained instead of aliased. `verify_keys =
-/// false` trusts the hash alone (the fast path whose unsafety the tests
-/// demonstrate). `hash_bits < 64` masks the hash — a test hook to force
+/// safe for concurrent workers. Keys are serialized and compared: a bucket
+/// hit only counts as a cache hit when the stored canonical string equals
+/// the probe's, so hash collisions on distinct configs are structurally
+/// impossible — they are detected, counted, and chained instead of
+/// aliased. `hash_bits < 64` masks the hash — a test hook to force
 /// collisions.
 class EvalCache {
  public:
@@ -58,7 +56,7 @@ class EvalCache {
     std::int64_t collisions = 0;  ///< bucket hits whose keys differed
   };
 
-  explicit EvalCache(bool verify_keys = true, int hash_bits = 64);
+  explicit EvalCache(int hash_bits = 64);
 
   std::optional<Evaluation> lookup(const std::string& key);
   void store(const std::string& key, const Evaluation& ev);
@@ -74,7 +72,6 @@ class EvalCache {
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
   Stats stats_;
-  bool verify_keys_;
   std::uint64_t mask_;
 };
 

@@ -266,7 +266,7 @@ std::vector<MemMapCase> memmap_matrix() {
   };
   add("lexicographic_2x2x2", [](Config& c) {
     c.rank_dims = {2, 2, 2};
-    c.lexicographic_layout = true;
+    c.layout = lexicographic_layout(3);
   });
   add("shm", [](Config& c) {
     c.machine.net.ranks_per_node = 2;
@@ -324,7 +324,7 @@ TEST(Harness, LexicographicLayoutComputesIdenticallyWithMoreMessages) {
   // message count.
   Config opt = small_config(Method::Layout, false);
   Config lex = opt;
-  lex.lexicographic_layout = true;
+  lex.layout = lexicographic_layout(3);
   const Result a = run(opt);
   const Result b = run(lex);
   EXPECT_TRUE(b.validated);

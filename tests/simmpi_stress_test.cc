@@ -9,7 +9,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "obs/obs.h"  // for the BRICKX_OBS default (Trace tests below)
+#include "obs/obs.h"
 #include "simmpi/cart.h"
 #include "simmpi/comm.h"
 
@@ -209,8 +209,8 @@ TEST(Stress, ManySmallRuntimes) {
 }  // namespace
 }  // namespace brickx::mpi
 
-// The legacy enable_trace/trace view is backed by the obs flow log, so it
-// only exists in BRICKX_OBS builds; the null-sink build records nothing.
+// Message flows are recorded into an obs Collector, so they only exist in
+// BRICKX_OBS builds; the null-sink build records nothing.
 #if BRICKX_OBS
 
 namespace brickx::mpi {
@@ -219,7 +219,8 @@ namespace {
 TEST(Trace, RecordsEveryMessageDeterministically) {
   auto once = [] {
     Runtime rt(4, NetModel{});
-    rt.enable_trace();
+    obs::Collector col(4);
+    rt.set_collector(&col);
     rt.run([](Comm& c) {
       const int to = (c.rank() + 1) % c.size();
       const int from = (c.rank() + c.size() - 1) % c.size();
@@ -231,41 +232,31 @@ TEST(Trace, RecordsEveryMessageDeterministically) {
         c.wait(s);
       }
     });
-    return rt.trace();
+    rt.set_collector(nullptr);
+    // Each rank's log holds its own sends in posting order.
+    std::vector<obs::FlowEvent> flows;
+    for (int r = 0; r < 4; ++r) {
+      const auto& fs = col.log(r).flows();
+      flows.insert(flows.end(), fs.begin(), fs.end());
+    }
+    return flows;
   };
   const auto a = once();
   const auto b = once();
   ASSERT_EQ(a.size(), 4u * 5);
   for (const auto& e : a) {
     EXPECT_EQ(e.bytes, sizeof(double));
-    EXPECT_GT(e.arrival, e.departure);
+    EXPECT_GT(e.arrive, e.depart);
   }
   // Deterministic: identical programs record identical timelines.
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].src, b[i].src);
-    EXPECT_EQ(a[i].departure, b[i].departure);
-    EXPECT_EQ(a[i].arrival, b[i].arrival);
+    EXPECT_EQ(a[i].dst, b[i].dst);
+    EXPECT_EQ(a[i].tag, b[i].tag);
+    EXPECT_EQ(a[i].depart, b[i].depart);
+    EXPECT_EQ(a[i].arrive, b[i].arrive);
   }
-}
-
-TEST(Trace, OffByDefaultAndClearable) {
-  Runtime rt(2, NetModel{});
-  rt.run([](Comm& c) {
-    int x = 0;
-    if (c.rank() == 0) c.send(&x, sizeof x, 1, 0);
-    if (c.rank() == 1) c.recv(&x, sizeof x, 0, 0);
-  });
-  EXPECT_TRUE(rt.trace().empty());
-  rt.enable_trace();
-  rt.run([](Comm& c) {
-    int x = 0;
-    if (c.rank() == 0) c.send(&x, sizeof x, 1, 0);
-    if (c.rank() == 1) c.recv(&x, sizeof x, 0, 0);
-  });
-  EXPECT_EQ(rt.trace().size(), 1u);
-  rt.clear_trace();
-  EXPECT_TRUE(rt.trace().empty());
 }
 
 }  // namespace

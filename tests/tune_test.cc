@@ -105,7 +105,7 @@ TEST(EvalCache, VerifiedModeSurvivesForcedHashCollisionsExactly) {
   // hash_bits = 1: every second key collides. The serialize-and-compare
   // chain must keep each key's evaluation exact and count the collisions
   // instead of aliasing.
-  EvalCache cache(/*verify_keys=*/true, /*hash_bits=*/1);
+  EvalCache cache(/*hash_bits=*/1);
   const auto [ka, kb] = colliding_pair(1);
   const Evaluation ea{1.0, 0.25, 10.0};
   const Evaluation eb{2.0, 0.50, 20.0};
@@ -124,21 +124,8 @@ TEST(EvalCache, VerifiedModeSurvivesForcedHashCollisionsExactly) {
   EXPECT_FALSE(miss.has_value());
 }
 
-TEST(EvalCache, HashTrustingModeDemonstrablyAliases) {
-  // The same forced collision under verify_keys = false: the cache
-  // returns the *other* config's evaluation. This is the failure mode the
-  // default mode makes structurally impossible.
-  EvalCache cache(/*verify_keys=*/false, /*hash_bits=*/1);
-  const auto [ka, kb] = colliding_pair(1);
-  const Evaluation ea{1.0, 0.25, 10.0};
-  cache.store(ka, ea);
-  const auto aliased = cache.lookup(kb);  // never stored!
-  ASSERT_TRUE(aliased.has_value());
-  EXPECT_EQ(*aliased, ea);
-}
-
 TEST(EvalCache, CollisionCounterDetectsBucketConflicts) {
-  EvalCache cache(/*verify_keys=*/true, /*hash_bits=*/1);
+  EvalCache cache(/*hash_bits=*/1);
   const auto [ka, kb] = colliding_pair(1);
   cache.store(ka, Evaluation{});
   (void)cache.lookup(kb);  // occupied bucket, different key
