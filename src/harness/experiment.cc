@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "baseline/array_exchange.h"
@@ -131,6 +131,692 @@ void compute_bricks(const Config& cfg, const BrickDecomp<3>& dec,
   }
 }
 
+bool is_brick(Method m) { return m != Method::Yask && m != Method::MpiTypes; }
+
+/// Stage 1: reject an unrunnable Config before any rank is spawned. Each
+/// rule throws brickx::Error; the first one that fails wins.
+void check(const Config& cfg) {
+  const int nranks = static_cast<int>(cfg.rank_dims.prod());
+  BX_CHECK(nranks >= 1, "empty rank grid");
+  BX_CHECK(cfg.layout.order.empty() || cfg.layout.valid(3),
+           "Config::layout must be a valid 3-D region layout (every "
+           "3-D surface signature exactly once)");
+  BX_CHECK(cfg.fields >= 1, "Config::fields must be positive");
+  // The input and output buffers swap every step, so an even exchange
+  // period (ghost / radius steps) lands every round on input buffer 0 —
+  // the one each exchange plan is built over — and leaves the overlap
+  // scheduler a producer step to hide behind.
+  const std::int64_t radius = cfg.use125 ? 2 : 1;
+  BX_CHECK(cfg.ghost > 0 && cfg.ghost % (2 * radius) == 0,
+           "Config::ghost must be a positive multiple of 2 * stencil radius "
+           "(an even exchange period of at least two steps)");
+  BX_CHECK(cfg.fields == 1 || cfg.gpu == GpuMode::None,
+           "multi-field runs are CPU-only (GPU range accounting assumes one "
+           "field per storage)");
+  BX_CHECK(cfg.gpu == GpuMode::None || cfg.machine.is_gpu,
+           "GPU modes require a GPU machine model");
+  BX_CHECK(!(cfg.method == Method::MemMap && cfg.gpu == GpuMode::CudaAware &&
+             !cfg.machine.gpu.supports_cumemmap),
+           "cudaMalloc memory does not support MemMap (paper Section 5; "
+           "use summit_future() for the cuMemMap ablation)");
+  BX_CHECK(!(cfg.method == Method::Yask && cfg.gpu != GpuMode::None &&
+             cfg.gpu != GpuMode::Staged),
+           "the packing baseline supports CPU runs and manual GPU staging");
+  BX_CHECK(!(cfg.gpu == GpuMode::Staged && cfg.method != Method::Yask),
+           "manual staging is the packing baseline's workflow");
+  BX_CHECK(!cfg.overlap ||
+               (is_brick(cfg.method) && cfg.method != Method::Shift &&
+                cfg.method != Method::Network),
+           "overlap is supported for the Basic/Layout/MemMap brick methods");
+  BX_CHECK(!(cfg.overlap && cfg.plan == PlanMode::PerRound),
+           "overlap requires a build-once plan: the dependency scheduler "
+           "binds partitioned requests, which freeze the wire schedule");
+  BX_CHECK(!(cfg.plan == PlanMode::PerRound && cfg.gpu != GpuMode::None),
+           "the plan-per-round ablation is CPU-only (rebuilding exchangers "
+           "would churn the GPU range registrations)");
+
+  // The node model must be coherent with the world size before any fabric
+  // (flat or routed) derives node assignments from it.
+  const int rpn = cfg.machine.net.ranks_per_node;
+  BX_CHECK(rpn >= 1, "machine.net.ranks_per_node must be positive");
+  if (nranks % rpn != 0)
+    std::fprintf(stderr,
+                 "harness: warning: world size %d is not a multiple of "
+                 "ranks_per_node %d; the last node runs underfilled\n",
+                 nranks, rpn);
+  BX_CHECK(!(cfg.transport == transport::Kind::ShmAgg && rpn == 1),
+           "transport=shm-agg requires ranks_per_node > 1: with one rank "
+           "per node there are no co-located ranks to aggregate, so every "
+           "frame would carry a single message (use transport=flat or a "
+           "machine model with ranks_per_node > 1)");
+}
+
+/// Stage 2: each field's global reference, evolved once per run over the
+/// whole periodic domain; every rank compares its subdomain against it.
+std::vector<CellArray3> evolve_references(const Config& cfg,
+                                          int total_steps) {
+  std::vector<CellArray3> refs;
+  for (int f = 0; f < cfg.fields; ++f) {
+    CellArray3& ref =
+        refs.emplace_back(Box<3>{{0, 0, 0}, cfg.rank_dims * cfg.subdomain});
+    fill_init(ref.raw().data(), ref.box(), Vec3{0, 0, 0}, f);
+    stencil::evolve_reference(ref, total_steps, cfg.use125);
+  }
+  return refs;
+}
+
+/// What one rank's driver and step loop share.
+struct Rank {
+  const Config& cfg;
+  Comm& comm;
+  gpu::Device* dev;  ///< null for CPU runs
+  bool execute;      ///< run the math, not just its modeled cost
+  std::int64_t r;    ///< stencil radius
+  std::int64_t k;    ///< steps per exchange (even, >= 2)
+  Vec3 offset;       ///< global coordinates of the subdomain origin
+
+  [[nodiscard]] mpi::MemSpace space() const {
+    return cfg.gpu == GpuMode::CudaAware ? mpi::MemSpace::Device
+                                         : mpi::MemSpace::Unified;
+  }
+};
+
+// ---- Stage 3: the family drivers ------------------------------------------
+// A driver owns one rank's double-buffered fields and its exchange plan.
+// Every exchange lands on input buffer 0 (the even period), so build()
+// makes the plan over buffer 0, both at setup and on a PerRound rebuild.
+
+/// Basic, Layout, MemMap, Shift and Network: bricks over a BrickDecomp.
+class BrickDriver {
+ public:
+  BrickDriver(const Rank& x, const Cart<3>& cart)
+      : x_(x),
+        dec_(x.cfg.subdomain, x.cfg.ghost, Vec3::fill(x.cfg.brick),
+             x.cfg.layout.order.empty() ? surface3d() : x.cfg.layout),
+        info_(dec_.brick_info()),
+        regs_(x.dev) {
+    const Config& cfg = x.cfg;
+    // MemMap over unified memory must align chunks to the *UM* page size
+    // (64 KiB on Power9/ATS) — that alignment is what spares its compute
+    // from fault backwash (Figure 15).
+    std::size_t ps = cfg.page_size;
+    if (ps == 0 && cfg.gpu != GpuMode::None) ps = cfg.machine.gpu.page_size;
+    for (int f = 0; f < 2; ++f)
+      stores_.push_back(cfg.method == Method::MemMap
+                            ? dec_.mmap_alloc(cfg.fields, ps)
+                            : dec_.allocate(cfg.fields));
+    ranks_ = populate(cart, dec_);
+    if (cfg.gpu != GpuMode::None)
+      for (auto& s : stores_) regs_.range(s.data(), s.bytes(), x.space());
+    if (cfg.method == Method::Shift) axis_ranks_ = shift_neighbors(cart);
+    build();
+    if (const auto* view = std::get_if<ExchangeView<3>>(&plan_)) {
+      if (cfg.gpu == GpuMode::Unified) {
+        // Views alias the canonical unified pages.
+        view->visit_views([&](const mm::View& v) {
+          for (const auto& seg : v.segment_map())
+            regs_.alias(v.data() + seg.view_offset, seg.length,
+                        stores_[0].data() + seg.file_offset);
+        });
+      } else if (cfg.gpu == GpuMode::CudaAware) {
+        // cuMemMap future-work mode: the views are device memory too, so
+        // the NIC reads them via GPUDirect with no faults.
+        view->visit_views([&](const mm::View& v) {
+          regs_.range(v.data(), v.size(), mpi::MemSpace::Device);
+        });
+      }
+    }
+    // Initialize the input fields from global coordinates.
+    CellArray3 seed(Box<3>{{0, 0, 0}, cfg.subdomain});
+    for (int f = 0; f < cfg.fields; ++f) {
+      fill_init(seed.raw().data(), seed.box(), x.offset, f);
+      cells_to_bricks(dec_, seed, stores_[0], f);
+    }
+  }
+
+  /// Emplacing destroys the old plan first, so a MemMap rebuild tears its
+  /// views down before stitching new ones. Timing-only MemMap runs read no
+  /// ghost byte, so their views are not mapped at all.
+  void build() {
+    const Method m = x_.cfg.method;
+    if (m == Method::Shift) {
+      plan_.emplace<ShiftExchanger<3>>(dec_, stores_[0], axis_ranks_);
+    } else if (m == Method::MemMap) {
+      engine_ = &plan_.emplace<ExchangeView<3>>(dec_, stores_[0], ranks_,
+                                                x_.execute);
+    } else if (m == Method::Network) {
+      engine_ = &plan_.emplace<NetworkFloorExchanger<3>>(dec_, stores_[0],
+                                                         ranks_);
+    } else {
+      engine_ = &plan_.emplace<Exchanger<3>>(
+          dec_, stores_[0], ranks_,
+          m == Method::Layout ? Exchanger<3>::Mode::Layout
+                              : Exchanger<3>::Mode::Basic);
+    }
+  }
+
+  void kernel(const Box<3>& box, int in) {
+    compute_bricks(x_.cfg, dec_, info_, stores_[static_cast<std::size_t>(in)],
+                   stores_[static_cast<std::size_t>(1 - in)], box);
+  }
+  /// GPU page touches of one sweep. The kernel touches chunk *payloads*
+  /// only: page-padding tails are never read by compute, so they stay
+  /// wherever the exchange left them.
+  double touch(double secs) const {
+    for (const BrickStorage& st : stores_)
+      for (const auto& c : st.chunks())
+        secs += x_.dev->touch_device(st.data() + c.offset, c.bytes);
+    return secs;
+  }
+  [[nodiscard]] static bool packs() { return false; }
+  void pack() {}
+  void unpack() {}
+
+  /// Fill the per-exchange counts; returns the cost of one plan build.
+  PlanCost account(RankOut& out) {
+    auto tally = [&](auto& e) {
+      out.msgs = e.send_message_count();
+      out.wire = out.payload = e.send_byte_count();
+      return e.setup_cost();
+    };
+    const PlanCost cost = engine_ ? tally(*engine_) : tally(shift());
+    if (const auto* view = std::get_if<ExchangeView<3>>(&plan_)) {
+      out.payload = view->payload_byte_count();
+      out.padding = view->padding_overhead_percent();
+    }
+    return cost;
+  }
+  void bind(Comm& comm, bool partitioned) {
+    if (!engine_) {
+      shift().make_persistent(comm);
+    } else if (partitioned) {
+      engine_->make_partitioned(comm);
+    } else {
+      engine_->make_persistent(comm);
+    }
+  }
+  void start(Comm& comm) {
+    if (engine_) engine_->start(comm);
+  }
+  /// Shift's phases wait on each other, so its whole exchange runs here.
+  void finish(Comm& comm) {
+    if (engine_) {
+      engine_->finish(comm);
+    } else {
+      shift().exchange(comm);
+    }
+  }
+  [[nodiscard]] ExchangePlan& engine() const { return *engine_; }
+  [[nodiscard]] const BrickDecomp<3>& decomp() const { return dec_; }
+
+  /// Row accessor over field f of buffer `in`, for validation.
+  auto rows(int f, int in) {
+    CellArray3 got(Box<3>{{0, 0, 0}, x_.cfg.subdomain});
+    bricks_to_cells(dec_, stores_[static_cast<std::size_t>(in)], f, got);
+    return [got = std::move(got)](const Vec3& p) { return got.row(p); };
+  }
+
+ private:
+  ShiftExchanger<3>& shift() { return std::get<ShiftExchanger<3>>(plan_); }
+
+  const Rank& x_;
+  BrickDecomp<3> dec_;
+  BrickInfo<3> info_;
+  std::vector<BrickStorage> stores_;
+  std::vector<int> ranks_;
+  std::vector<std::array<int, 2>> axis_ranks_;  ///< Shift only
+  std::variant<std::monostate, Exchanger<3>, ExchangeView<3>,
+               NetworkFloorExchanger<3>, ShiftExchanger<3>>
+      plan_;
+  ExchangePlan* engine_ = nullptr;  ///< the plan; null for Shift's phases
+  // Declared after the memory it registers, so every range is unregistered
+  // before that memory is freed and can be reused (and registered) by
+  // another rank's allocation.
+  GpuRegs regs_;
+};
+
+/// YASK and MPI_Types: lexicographic field-major ArrayFields slabs with a
+/// ghost frame, so one message per neighbor carries every field.
+class ArrayDriver {
+ public:
+  ArrayDriver(const Rank& x, const Cart<3>& cart) : x_(x), regs_(x.dev) {
+    const Config& cfg = x.cfg;
+    const Box<3> frame{Vec3{0, 0, 0} - Vec3::fill(cfg.ghost),
+                       cfg.subdomain + Vec3::fill(cfg.ghost)};
+    for (int i = 0; i < 2; ++i) bufs_.emplace_back(frame, cfg.fields);
+    if (cfg.gpu != GpuMode::None && cfg.gpu != GpuMode::Staged)
+      for (auto& b : bufs_)
+        regs_.range(b.raw().data(), b.raw().size() * sizeof(double),
+                    x.space());
+    dirs_ = Cart<3>::all_directions();
+    for (const auto& d : dirs_) ranks_.push_back(cart.neighbor(d));
+    build();
+    // Ghost seeds are overwritten by the exchange.
+    for (int f = 0; f < cfg.fields; ++f)
+      fill_init(bufs_[0].field_base(f), frame, x.offset, f);
+  }
+
+  void build() {
+    const Config& cfg = x_.cfg;
+    if (cfg.method == Method::Yask) {
+      engine_ = &plan_.emplace<baseline::PackExchanger>(
+          cfg.subdomain, cfg.ghost, dirs_, ranks_, cfg.fields);
+    } else {
+      engine_ = &plan_.emplace<baseline::MpiTypesExchanger>(
+          cfg.subdomain, cfg.ghost, dirs_, ranks_, bufs_[0]);
+    }
+  }
+
+  /// Field slabs are laid out exactly like a frame-shaped CellArray3, so
+  /// the span kernels run each field in place.
+  void kernel(const Box<3>& box, int in) {
+    const Config& cfg = x_.cfg;
+    auto* k125 = cfg.naive_kernels ? &stencil::apply125_span_naive
+                                   : &stencil::apply125_span;
+    auto* k7 =
+        cfg.naive_kernels ? &stencil::apply7_span_naive : &stencil::apply7_span;
+    ArrayFields& src = bufs_[static_cast<std::size_t>(in)];
+    ArrayFields& dst = bufs_[static_cast<std::size_t>(1 - in)];
+    for (int f = 0; f < cfg.fields; ++f)
+      (cfg.use125 ? k125 : k7)(src.box(), src.field_base(f),
+                               dst.field_base(f), box);
+  }
+  /// Staged fields are unregistered (plain host memory standing in for
+  /// device arrays), so touch_device is a no-op for them.
+  double touch(double secs) const {
+    for (const ArrayFields& b : bufs_)
+      secs += x_.dev->touch_device(b.raw().data(),
+                                   b.raw().size() * sizeof(double));
+    return secs;
+  }
+  [[nodiscard]] bool packs() const {
+    return std::holds_alternative<baseline::PackExchanger>(plan_);
+  }
+  void pack() {
+    x_.comm.compute(onnode_seconds(
+        std::get<baseline::PackExchanger>(plan_).pack(bufs_[0])));
+  }
+  void unpack() {
+    x_.comm.compute(onnode_seconds(
+        std::get<baseline::PackExchanger>(plan_).unpack(bufs_[0])));
+  }
+
+  PlanCost account(RankOut& out) {
+    out.msgs = engine_->send_message_count();
+    out.wire = out.payload = engine_->send_byte_count();
+    return engine_->setup_cost();
+  }
+  void bind(Comm& comm, bool /*partitioned*/) {
+    engine_->make_persistent(comm, bufs_[0].raw().data());
+  }
+  void start(Comm& comm) { engine_->start(comm, bufs_[0].raw().data()); }
+  void finish(Comm& comm) { engine_->finish(comm); }
+  [[nodiscard]] ExchangePlan& engine() const { return *engine_; }
+  [[noreturn]] const BrickDecomp<3>& decomp() const {
+    brickx::fail("overlap is supported for brick methods only");
+  }
+
+  auto rows(int f, int in) {
+    const ArrayFields& b = bufs_[static_cast<std::size_t>(in)];
+    return [&b, f](const Vec3& p) { return b.row(f, p); };
+  }
+
+ private:
+  /// On-node cost per half-exchange: CPU runs price the strided pack;
+  /// manual GPU staging prices a bandwidth-bound pack kernel plus shuttling
+  /// the 26 packed buffers across the CPU-GPU link (Section 5's motivating
+  /// workflow).
+  double onnode_seconds(std::size_t bytes) const {
+    const Config& cfg = x_.cfg;
+    if (cfg.gpu != GpuMode::Staged)
+      return model::pack_seconds(cfg.machine, static_cast<std::int64_t>(bytes),
+                                 26);
+    const auto& gm = cfg.machine.gpu;
+    const double b = static_cast<double>(bytes);
+    return b / gm.hbm_bw + gm.launch_overhead  // pack kernel
+           + b / gm.link_bw + 26 * gm.launch_overhead;  // cudaMemcpy
+  }
+
+  const Rank& x_;
+  std::vector<ArrayFields> bufs_;
+  std::vector<BitSet> dirs_;
+  std::vector<int> ranks_;
+  std::variant<std::monostate, baseline::PackExchanger,
+               baseline::MpiTypesExchanger>
+      plan_;
+  ExchangePlan* engine_ = nullptr;
+  GpuRegs regs_;  ///< last: unregisters before the fields are freed
+};
+
+// ---- Stage 4: the step loop -------------------------------------------------
+
+/// Run one rank's plan setup, warmup and measured timesteps over driver
+/// `d`, and validate against `refs` when they are given.
+template <class Driver>
+RankOut drive(const Rank& x, Driver& d, obs::Collector& col,
+              const std::vector<CellArray3>& refs) {
+  const Config& cfg = x.cfg;
+  Comm& comm = x.comm;
+  const Vec3 N = cfg.subdomain;
+  const std::int64_t g = cfg.ghost, r = x.r, k = x.k;
+  const double flops =
+      cfg.use125 ? stencil::Stencil125::kFlops : stencil::Stencil7::kFlops;
+  constexpr double kBytesPerCell = 16.0;  // one read + one write stream
+  RankOut out;
+  int input = 0;  // double-buffer selector
+
+  // One compute sweep over `box`, run and priced. The scheduler's pieces of
+  // one step form a single fused sweep that publishes per-region
+  // completion, so the fixed per-sweep cost (OpenMP fork/join on CPU,
+  // kernel launch on GPU) and the per-chunk UM touch pass are charged once
+  // per step — on the `first` piece — and later pieces cost marginal volume
+  // only. A whole-box step is its own first piece.
+  auto compute = [&](const Box<3>& box, bool first) {
+    if (x.execute) d.kernel(box, input);
+    double secs;
+    if (cfg.gpu != GpuMode::None) {
+      secs = x.dev->kernel_seconds(box.volume(), flops, kBytesPerCell);
+      if (first) {
+        secs = d.touch(secs);
+      } else {
+        secs -= cfg.machine.gpu.launch_overhead;
+      }
+    } else {
+      secs = model::cpu_stencil_seconds(cfg.machine, box.volume() * cfg.fields,
+                                        flops, kBytesPerCell,
+                                        cfg.method == Method::Yask);
+      if (!first) secs -= cfg.machine.sweep_overhead;
+    }
+    comm.compute(secs);
+  };
+
+  // ---- per-exchange accounting and the cost of one plan build ------------
+  const PlanCost plan_cost = d.account(out);
+
+  // ---- plan lifetime (DESIGN.md §9) --------------------------------------
+  // Layout, Basic and Shift are still charged for a spare plan over the
+  // second buffer, which no round ever uses.
+  const bool spare = cfg.method == Method::Layout ||
+                     cfg.method == Method::Basic ||
+                     cfg.method == Method::Shift;
+  const int plan_copies = spare ? 2 : 1;
+  out.builds = plan_copies;
+  if (cfg.plan == PlanMode::BuildOnce) {
+    // Bind the frozen plan and charge the modeled one-time build cost now —
+    // before warmup and the barrier below. The barrier equalizes every
+    // rank's clock, so measured results stay byte-identical to pre-plan
+    // builds; the setup cost is visible only through Result::setup_seconds
+    // and the trace.
+    const double t0 = comm.clock().now();
+    {
+      obs::ObsSpan sp(obs::Cat::Setup, "plan_setup", -1);
+      d.bind(comm, cfg.overlap);
+      double secs = 0;
+      for (int i = 0; i < plan_copies; ++i)
+        secs += plan_cost.seconds(comm.net());
+      comm.compute(secs);
+    }
+    out.setup = comm.clock().now() - t0;
+  }
+
+  // ---- the timestep loop -------------------------------------------------
+  // Each phase is both delta-accumulated on the virtual clock (works with
+  // obs compiled out) and wrapped in a step-tagged ObsSpan; after the loop
+  // the obs build recomputes the phase totals from the spans (see
+  // phase_sum) as a live cross-check that the trace carries the ground
+  // truth — the two agree bit-exactly by construction.
+  auto now = [&] { return comm.clock().now(); };
+  // ---- overlap dependency-scheduler state --------------------------------
+  // A partitioned exchange round spans two steps: the *producer* step
+  // (s == k-1) opens the round and readies each outgoing partition as its
+  // source surface region finishes computing, so boundary data flows
+  // while the interior is still being produced; the *consumer* step
+  // (s == 0, next round) computes ghost-free cells first and then waits
+  // only on the partitions each shell piece actually reads.
+  const int warmup_steps = cfg.warmup_exchanges * static_cast<int>(k);
+  const int total_step_count = warmup_steps + cfg.timesteps;
+  int steps_done = 0;
+  bool round_open = false;
+  // Cell-coordinate box of region ordinal `o` (brick grid → cells; ghost
+  // regions land in [-g, 0) ∪ [N, N+g) bands, matching the coordinates
+  // the shell pieces read).
+  auto region_cell_box = [&](int o) {
+    const BrickDecomp<3>& dec = d.decomp();
+    const auto& rg = dec.regions()[static_cast<std::size_t>(o)];
+    return Box<3>{rg.box.lo * dec.brick_dims(), rg.box.hi * dec.brick_dims()};
+  };
+  auto boxes_overlap = [](const Box<3>& a, const Box<3>& b) {
+    for (int i = 0; i < 3; ++i)
+      if (a.lo[i] >= b.hi[i] || b.lo[i] >= a.hi[i]) return false;
+    return true;
+  };
+  auto one_step = [&](int step, bool measured) {
+    const std::int64_t s = step % k;
+    // No producer step ahead of the last step overall, and none across
+    // the warmup→measured barrier: pre-starting the first measured round
+    // during (unmeasured) warmup would silently move its injection cost
+    // out of the measured window. The first measured round cold-starts
+    // at its s == 0 instead, exactly like the first warmup round.
+    const bool last_warmup = ++steps_done == warmup_steps;
+    const bool no_prestart = steps_done == total_step_count || last_warmup;
+    // Measured steps tag spans with their timestep; warmup steps get
+    // distinct ids -2, -3, ... so the critical-path analyzer can keep
+    // per-step phase identity without them ever colliding with measured
+    // steps (phase_sum and the exporters filter on step >= 0 / < 0, so
+    // which negative id a warmup span carries is invisible to them).
+    const std::int64_t id = measured ? step : -2 - step;
+    if (s == 0 && cfg.plan == PlanMode::PerRound) {
+      // PerRound ablation: tear down and rebuild this round's plan inside
+      // the measured loop, charging the modeled build cost each time.
+      const double r0 = now();
+      {
+        obs::ObsSpan sp(obs::Cat::Setup, "replan", id);
+        d.build();
+        comm.compute(plan_cost.seconds(comm.net()));
+        ++out.builds;
+      }
+      if (measured) out.replan += now() - r0;
+    }
+    if (s == 0 && cfg.overlap) {
+      ExchangePlan& pe = d.engine();
+      // Consumer side of a partitioned round. The round was normally
+      // opened (and every partition readied) by the previous producer
+      // step; the first round of the run cold-starts here instead, since
+      // its boundary data came from initialization, not a prior step.
+      const double t0 = now();
+      if (!round_open) {
+        obs::ObsSpan sp(obs::Cat::Call, "call", id);
+        pe.part_start();
+        const int nsend = static_cast<int>(pe.send_parts().size());
+        for (int j = 0; j < nsend; ++j) pe.part_pready(j);
+        round_open = true;
+      }
+      const double t1 = now();
+      // Interior outputs read no ghost data: compute them while the
+      // remaining partitions are still in flight on the virtual clock.
+      const Box<3> whole = stencil::expansion_output_box<3>(N, g, r, 0);
+      const Box<3> interior{Vec3::fill(r), N - Vec3::fill(r)};
+      {
+        obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
+        compute(interior, /*first=*/true);
+      }
+      const double t2 = now();
+      // Shell pieces wait only on the ghost partitions their stencil
+      // footprint (piece expanded by the radius) actually reads.
+      double shell_wait = 0, shell_calc = 0;
+      const std::vector<PartSpec>& rp = pe.recv_parts();
+      std::vector<char> consumed(rp.size(), 0);
+      for (const Box<3>& b : stencil::shell_boxes<3>(whole, interior)) {
+        const Box<3> need{b.lo - Vec3::fill(r), b.hi + Vec3::fill(r)};
+        const double w0 = now();
+        {
+          obs::ObsSpan sp(obs::Cat::Wait, "wait", id);
+          for (std::size_t j = 0; j < rp.size(); ++j) {
+            if (consumed[j]) continue;
+            if (!boxes_overlap(region_cell_box(rp[j].region), need))
+              continue;
+            pe.part_arrived(static_cast<int>(j));
+            consumed[j] = 1;
+          }
+        }
+        const double w1 = now();
+        {
+          obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
+          compute(b, /*first=*/false);
+        }
+        shell_wait += w1 - w0;
+        shell_calc += now() - w1;
+      }
+      const double t3 = now();
+      {
+        obs::ObsSpan sp(obs::Cat::Wait, "wait", id);
+        pe.part_finish();
+        round_open = false;
+      }
+      const double t4 = now();
+      if (measured) {
+        out.call += t1 - t0;
+        out.calc += (t2 - t1) + shell_calc;
+        out.wait += shell_wait + (t4 - t3);
+      }
+      input = 1 - input;
+      return;
+    }
+    if (s == k - 1 && cfg.overlap && !no_prestart) {
+      ExchangePlan& pe = d.engine();
+      // Producer side: open the next round up front (receives post
+      // first), then compute this step's boundary regions one by one,
+      // readying each outgoing partition the moment its source region is
+      // done, and finish with the interior — which overlaps with every
+      // partition already in flight.
+      const double t0 = now();
+      {
+        obs::ObsSpan sp(obs::Cat::Call, "call", id);
+        pe.part_start();
+        round_open = true;
+      }
+      const double t1 = now();
+      double prod_calc = 0, prod_call = 0;
+      const std::vector<PartSpec>& sp_tbl = pe.send_parts();
+      bool first = true;
+      for (int o = 0; o < d.decomp().surface_region_count(); ++o) {
+        const double c0 = now();
+        {
+          obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
+          compute(region_cell_box(o), first);
+        }
+        first = false;
+        const double c1 = now();
+        {
+          obs::ObsSpan sp(obs::Cat::Call, "call", id);
+          for (std::size_t j = 0; j < sp_tbl.size(); ++j)
+            if (sp_tbl[j].region == o) pe.part_pready(static_cast<int>(j));
+        }
+        prod_calc += c1 - c0;
+        prod_call += now() - c1;
+      }
+      {
+        const double c0 = now();
+        obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
+        compute(region_cell_box(d.decomp().interior_ordinal()),
+                /*first=*/false);
+        prod_calc += now() - c0;
+      }
+      if (measured) {
+        out.call += (t1 - t0) + prod_call;
+        out.calc += prod_calc;
+      }
+      input = 1 - input;
+      return;
+    }
+    if (s == 0) {
+      const double t0 = now();
+      if (d.packs()) {
+        obs::ObsSpan sp(obs::Cat::Pack, "pack", id);
+        d.pack();
+      }
+      const double t1 = now();
+      {
+        obs::ObsSpan sp(obs::Cat::Call, "call", id);
+        d.start(comm);
+      }
+      const double t2 = now();
+      {
+        obs::ObsSpan sp(obs::Cat::Wait, "wait", id);
+        d.finish(comm);
+      }
+      const double t3 = now();
+      if (d.packs()) {
+        obs::ObsSpan sp(obs::Cat::Pack, "pack", id);
+        d.unpack();
+      }
+      const double t4 = now();
+      if (measured) {
+        out.pack += (t1 - t0) + (t4 - t3);
+        out.call += t2 - t1;
+        out.wait += t3 - t2;
+      }
+    }
+    const double c0 = now();
+    {
+      obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
+      compute(stencil::expansion_output_box<3>(N, g, r, s), /*first=*/true);
+    }
+    if (measured) out.calc += now() - c0;
+    input = 1 - input;
+  };
+
+  for (int w = 0; w < cfg.warmup_exchanges; ++w)
+    for (int s = 0; s < static_cast<int>(k); ++s)
+      // Pass the global warmup ordinal so each warmup step's id is
+      // unique; one_step's `step % k` recovers the within-round phase.
+      one_step(w * static_cast<int>(k) + s, /*measured=*/false);
+  comm.barrier();
+  const double t_begin = now();
+  for (int step = 0; step < cfg.timesteps; ++step)
+    one_step(step, /*measured=*/true);
+  out.span = comm.allreduce_max(now() - t_begin);
+
+#if BRICKX_OBS
+  // Recompute the phase totals from the recorded spans. phase_sum repeats
+  // the per-step accumulation order of the deltas above, so this is
+  // bit-exact with them — the trace *is* the measurement.
+  {
+    const obs::RankLog& lg = col.log(comm.rank());
+    out.calc = obs::phase_sum(lg, obs::Cat::Calc, "calc");
+    out.pack = obs::phase_sum(lg, obs::Cat::Pack, "pack");
+    out.call = obs::phase_sum(lg, obs::Cat::Call, "call");
+    out.wait = obs::phase_sum(lg, obs::Cat::Wait, "wait");
+    // The one-time plan_setup span carries step = -1, so phase_sum only
+    // sees the measured in-loop rebuilds — matching out.replan's deltas.
+    out.replan = obs::phase_sum(lg, obs::Cat::Setup, "replan");
+  }
+#else
+  (void)col;
+#endif
+  // Per-rank metrics into the obs registry (the thread is still bound).
+  const double steps_d = static_cast<double>(cfg.timesteps);
+  obs::counter_add("comm.msgs_sent", comm.counters().msgs_sent);
+  obs::counter_add("comm.bytes_sent", comm.counters().bytes_sent);
+  obs::counter_add("comm.msgs_recv", comm.counters().msgs_recv);
+  obs::counter_add("comm.bytes_recv", comm.counters().bytes_recv);
+  obs::gauge_max("comm.max_inflight_reqs",
+                 static_cast<double>(comm.counters().max_inflight_reqs));
+  obs::hist_add("harness.calc_s", out.calc / steps_d);
+  obs::hist_add("harness.pack_s", out.pack / steps_d);
+  obs::hist_add("harness.call_s", out.call / steps_d);
+  obs::hist_add("harness.wait_s", out.wait / steps_d);
+  obs::hist_add("harness.plan_setup_s", out.setup);
+  obs::hist_add("harness.replan_s", out.replan / steps_d);
+  obs::counter_add("plan.builds", out.builds);
+
+  out.validated = !refs.empty();
+  for (int f = 0; out.validated && f < cfg.fields; ++f)
+    out.validated = matches_reference(
+        N, d.rows(f, input), refs[static_cast<std::size_t>(f)], x.offset);
+  return out;
+}
+
 }  // namespace
 
 std::vector<netsim::CommEdge> exchange_comm_graph(const Config& cfg) {
@@ -180,56 +866,9 @@ const char* method_name(Method m) {
 }
 
 Result run(const Config& cfg) {
+  check(cfg);
   const int nranks = static_cast<int>(cfg.rank_dims.prod());
-  BX_CHECK(nranks >= 1, "empty rank grid");
-  const bool is_brick = cfg.method == Method::Basic ||
-                        cfg.method == Method::Layout ||
-                        cfg.method == Method::MemMap ||
-                        cfg.method == Method::Shift ||
-                        cfg.method == Method::Network;
-  BX_CHECK(cfg.layout.order.empty() || cfg.layout.valid(3),
-           "Config::layout must be a valid 3-D region layout (every "
-           "3-D surface signature exactly once)");
-  BX_CHECK(cfg.fields >= 1, "Config::fields must be positive");
-  BX_CHECK(cfg.fields == 1 || cfg.gpu == GpuMode::None,
-           "multi-field runs are CPU-only (GPU range accounting assumes one "
-           "field per storage)");
-  BX_CHECK(cfg.gpu == GpuMode::None || cfg.machine.is_gpu,
-           "GPU modes require a GPU machine model");
-  BX_CHECK(!(cfg.method == Method::MemMap && cfg.gpu == GpuMode::CudaAware &&
-             !cfg.machine.gpu.supports_cumemmap),
-           "cudaMalloc memory does not support MemMap (paper Section 5; "
-           "use summit_future() for the cuMemMap ablation)");
-  BX_CHECK(!(cfg.method == Method::Yask && cfg.gpu != GpuMode::None &&
-             cfg.gpu != GpuMode::Staged),
-           "the packing baseline supports CPU runs and manual GPU staging");
-  BX_CHECK(!(cfg.gpu == GpuMode::Staged && cfg.method != Method::Yask),
-           "manual staging is the packing baseline's workflow");
-  BX_CHECK(!cfg.overlap ||
-               (is_brick && cfg.method != Method::Shift &&
-                cfg.method != Method::Network),
-           "overlap is supported for the Basic/Layout/MemMap brick methods");
-  BX_CHECK(!(cfg.overlap && cfg.plan == PlanMode::PerRound),
-           "overlap requires a build-once plan: the dependency scheduler "
-           "binds partitioned requests, which freeze the wire schedule");
-  BX_CHECK(!(cfg.plan == PlanMode::PerRound && cfg.gpu != GpuMode::None),
-           "the plan-per-round ablation is CPU-only (rebuilding exchangers "
-           "would churn the GPU range registrations)");
-
-  // The node model must be coherent with the world size before any fabric
-  // (flat or routed) derives node assignments from it.
   const int rpn = cfg.machine.net.ranks_per_node;
-  BX_CHECK(rpn >= 1, "machine.net.ranks_per_node must be positive");
-  if (nranks % rpn != 0)
-    std::fprintf(stderr,
-                 "harness: warning: world size %d is not a multiple of "
-                 "ranks_per_node %d; the last node runs underfilled\n",
-                 nranks, rpn);
-  BX_CHECK(!(cfg.transport == transport::Kind::ShmAgg && rpn == 1),
-           "transport=shm-agg requires ranks_per_node > 1: with one rank "
-           "per node there are no co-located ranks to aggregate, so every "
-           "frame would carry a single message (use transport=flat or a "
-           "machine model with ranks_per_node > 1)");
 
   mpi::Runtime rt(nranks, cfg.machine.net);
   rt.set_transport(cfg.transport);
@@ -265,654 +904,27 @@ Result run(const Config& cfg) {
   const bool execute = cfg.execute_kernels && cfg.method != Method::Network &&
                        !cfg.memmap_floor_proxy;
   const bool validate = cfg.validate && execute;
+  const std::int64_t radius = cfg.use125 ? 2 : 1;
+  const std::int64_t k = stencil::steps_per_exchange(cfg.ghost, radius);
+  const std::vector<CellArray3> refs =
+      validate ? evolve_references(
+                     cfg, cfg.warmup_exchanges * static_cast<int>(k) +
+                              cfg.timesteps)
+               : std::vector<CellArray3>{};
 
   std::vector<RankOut> outs(static_cast<std::size_t>(nranks));
-
   rt.run([&](Comm& comm) {
     Cart<3> cart(comm, cfg.rank_dims);
-    const Vec3 N = cfg.subdomain;
-    const std::int64_t g = cfg.ghost;
-    const std::int64_t r = cfg.use125 ? 2 : 1;
-    const std::int64_t k = stencil::steps_per_exchange(g, r);
-    const double flops =
-        cfg.use125 ? stencil::Stencil125::kFlops : stencil::Stencil7::kFlops;
-    constexpr double kBytesPerCell = 16.0;  // one read + one write stream
-    const Vec3 offset = cart.coords() * N;
-    const Vec3 global_ext = cfg.rank_dims * N;
-    const mpi::MemSpace space = cfg.gpu == GpuMode::CudaAware
-                                    ? mpi::MemSpace::Device
-                                    : mpi::MemSpace::Unified;
-    const bool staged = cfg.gpu == GpuMode::Staged;
-
-    RankOut out;
-
-    BX_CHECK(!cfg.overlap || k >= 2,
-             "overlap needs at least two steps per exchange (ghost >= "
-             "2 * stencil radius) so a producer step exists to hide behind");
-
-    // ---- storage, exchangers, compute closure per family ------------------
-    // pack_fn/unpack_fn are the packing baseline's on-node copies.
-    // compute_fn(box, first) runs and prices one compute sweep; the overlap
-    // scheduler passes first = false for the later pieces of a step.
-    // rebuild_fn reconstructs the exchanger the upcoming round uses (the
-    // PerRound ablation, DESIGN.md §9).
-    std::function<void()> pack_fn, unpack_fn, rebuild_fn;
-    std::function<void(const Box<3>&, bool)> compute_fn;
-    std::function<bool()> validate_fn;
-    // The exchange engine each input buffer's rounds run on, and the origin
-    // its datatype wires are laid over (MPI_Types only). Shift has none: its
-    // D dependent phases run back to back inside the wait phase.
-    std::array<ExchangePlan*, 2> engine{};
-    std::array<void*, 2> origin{};
-    int plan_copies = 1;  ///< plans built up front (2 for double-buffered)
-    int input = 0;  // double-buffer selector
-
-    // Brick family state.
-    std::optional<BrickDecomp<3>> dec;
-    std::optional<BrickInfo<3>> info;
-    std::vector<BrickStorage> stores;
-    std::vector<Exchanger<3>> exs;
-    std::optional<ExchangeView<3>> view;
-    std::vector<ShiftExchanger<3>> shs;
-    std::optional<NetworkFloorExchanger<3>> floor;
-    // Array family state (afields replaces fields when cfg.fields > 1).
-    std::vector<CellArray3> fields;
-    std::vector<ArrayFields> afields;
-    std::optional<baseline::PackExchanger> packer;
-    std::optional<baseline::MpiTypesExchanger> typer;
-    // Declared after the memory it registers, so every range is
-    // unregistered before that memory is freed and can be reused (and
-    // registered) by another rank's allocation.
-    GpuRegs regs(device ? &*device : nullptr);
-
-    if (is_brick) {
-      dec.emplace(N, g, Vec3::fill(cfg.brick),
-                  cfg.layout.order.empty() ? surface3d() : cfg.layout);
-      info.emplace(dec->brick_info());
-      // MemMap over unified memory must align chunks to the *UM* page size
-      // (64 KiB on Power9/ATS) — that alignment is what spares its compute
-      // from fault backwash (Figure 15).
-      std::size_t ps = cfg.page_size;
-      if (ps == 0 && cfg.gpu != GpuMode::None)
-        ps = cfg.machine.gpu.page_size;
-      for (int f = 0; f < 2; ++f)
-        stores.push_back(cfg.method == Method::MemMap
-                             ? dec->mmap_alloc(cfg.fields, ps)
-                             : dec->allocate(cfg.fields));
-      const auto ranks = populate(cart, *dec);
-      for (auto& s : stores) {
-        if (cfg.gpu != GpuMode::None)
-          regs.range(s.data(), s.bytes(), space);
-      }
-      if (cfg.method == Method::MemMap) {
-        // Ghost-cell expansion gives an even steps-per-exchange, so only
-        // stores[0] is ever on the exchanging side; building views for it
-        // alone halves the live mmap-segment footprint. Timing-only runs
-        // read no ghost byte, so their views are not mapped at all.
-        BX_CHECK(stencil::steps_per_exchange(g, r) % 2 == 0,
-                 "MemMap double buffering expects an even exchange period");
-        view.emplace(*dec, stores[0], ranks, execute);
-        if (cfg.gpu == GpuMode::Unified) {
-          // Views alias the canonical unified pages.
-          view->visit_views([&](const mm::View& v) {
-            for (const auto& seg : v.segment_map())
-              regs.alias(v.data() + seg.view_offset, seg.length,
-                         stores[0].data() + seg.file_offset);
-          });
-        } else if (cfg.gpu == GpuMode::CudaAware) {
-          // cuMemMap future-work mode: the views are device memory too, so
-          // the NIC reads them via GPUDirect with no faults.
-          view->visit_views([&](const mm::View& v) {
-            regs.range(v.data(), v.size(), mpi::MemSpace::Device);
-          });
-        }
-        engine[0] = &*view;
-        rebuild_fn = [&, ranks] {
-          // reset-then-emplace: tears down the old mmap views before
-          // stitching fresh ones (PerRound is CPU-only, so no GPU aliases
-          // need re-registering).
-          view.reset();
-          view.emplace(*dec, stores[0], ranks, execute);
-        };
-      } else if (cfg.method == Method::Shift) {
-        const auto axis_ranks = shift_neighbors(cart);
-        for (auto& st : stores) shs.emplace_back(*dec, st, axis_ranks);
-        rebuild_fn = [&, axis_ranks] {
-          shs[static_cast<std::size_t>(input)] = ShiftExchanger<3>(
-              *dec, stores[static_cast<std::size_t>(input)], axis_ranks);
-        };
-        plan_copies = 2;
-      } else if (cfg.method == Method::Network) {
-        floor.emplace(*dec, stores[0], ranks);
-        engine = {&*floor, &*floor};
-        rebuild_fn = [&, ranks] { floor.emplace(*dec, stores[0], ranks); };
-      } else {
-        const auto mode = cfg.method == Method::Layout
-                              ? Exchanger<3>::Mode::Layout
-                              : Exchanger<3>::Mode::Basic;
-        for (auto& s : stores) exs.emplace_back(*dec, s, ranks, mode);
-        engine = {&exs[0], &exs[1]};
-        rebuild_fn = [&, ranks, mode] {
-          exs[static_cast<std::size_t>(input)] = Exchanger<3>(
-              *dec, stores[static_cast<std::size_t>(input)], ranks, mode);
-        };
-        plan_copies = 2;
-      }
-
-      // Initialize the input fields from global coordinates.
-      CellArray3 seed(Box<3>{{0, 0, 0}, N});
-      for (int f = 0; f < cfg.fields; ++f) {
-        fill_init(seed.raw().data(), seed.box(), offset, f);
-        cells_to_bricks(*dec, seed, stores[0], f);
-      }
-
-      // The scheduler's pieces of one step form a single fused sweep that
-      // publishes per-region completion, so the fixed per-sweep cost
-      // (OpenMP fork/join on CPU, kernel launch on GPU) and the per-chunk
-      // UM touch pass are charged once per step — on the `first` piece —
-      // and later pieces cost marginal volume only. A whole-box step is
-      // its own first piece.
-      compute_fn = [&](const Box<3>& box, bool first) {
-        if (execute)
-          compute_bricks(cfg, *dec, *info,
-                         stores[static_cast<std::size_t>(input)],
-                         stores[static_cast<std::size_t>(1 - input)], box);
-        double secs;
-        if (cfg.gpu != GpuMode::None) {
-          secs = device->kernel_seconds(box.volume(), flops, kBytesPerCell);
-          if (!first) {
-            secs -= cfg.machine.gpu.launch_overhead;
-          } else {
-            // The kernel touches chunk *payloads* only: page-padding tails
-            // are never read by compute, so they stay wherever the
-            // exchange left them.
-            for (int f = 0; f < 2; ++f) {
-              BrickStorage& st = stores[static_cast<std::size_t>(f)];
-              for (const auto& c : st.chunks())
-                secs += device->touch_device(st.data() + c.offset, c.bytes);
-            }
-          }
-        } else {
-          secs = model::cpu_stencil_seconds(cfg.machine,
-                                            box.volume() * cfg.fields, flops,
-                                            kBytesPerCell, false);
-          if (!first) secs -= cfg.machine.sweep_overhead;
-        }
-        comm.compute(secs);
-      };
-
-      validate_fn = [&]() -> bool {
-        const int total_steps =
-            cfg.warmup_exchanges * static_cast<int>(k) + cfg.timesteps;
-        for (int f = 0; f < cfg.fields; ++f) {
-          CellArray3 got(Box<3>{{0, 0, 0}, N});
-          bricks_to_cells(*dec, stores[static_cast<std::size_t>(input)], f,
-                          got);
-          CellArray3 ref(Box<3>{{0, 0, 0}, global_ext});
-          fill_init(ref.raw().data(), ref.box(), Vec3{0, 0, 0}, f);
-          stencil::evolve_reference(ref, total_steps, cfg.use125);
-          const auto got_row = [&](const Vec3& p) { return got.row(p); };
-          if (!matches_reference(N, got_row, ref, offset)) return false;
-        }
-        return true;
-      };
+    const Rank x{cfg,    comm, device ? &*device : nullptr,
+                 execute, radius, k, cart.coords() * cfg.subdomain};
+    RankOut& out = outs[static_cast<std::size_t>(comm.rank())];
+    if (is_brick(cfg.method)) {
+      BrickDriver d(x, cart);
+      out = drive(x, d, col, refs);
     } else {
-      // Array family (YASK / MPI_Types baselines). Multi-field runs use
-      // contiguous field-major ArrayFields slabs so one message per
-      // neighbor carries every field; fields == 1 keeps the historical
-      // CellArray3 path byte-identical.
-      const Box<3> frame{Vec3{0, 0, 0} - Vec3::fill(g), N + Vec3::fill(g)};
-      if (cfg.fields > 1) {
-        afields.emplace_back(frame, cfg.fields);
-        afields.emplace_back(frame, cfg.fields);
-      } else {
-        fields.emplace_back(frame);
-        fields.emplace_back(frame);
-      }
-      if (cfg.gpu != GpuMode::None && !staged) {
-        for (auto& f : fields)
-          regs.range(f.raw().data(), f.raw().size() * sizeof(double), space);
-      }
-      const auto dirs = Cart<3>::all_directions();
-      std::vector<int> ranks;
-      for (const auto& d : dirs) ranks.push_back(cart.neighbor(d));
-      if (cfg.method == Method::Yask) {
-        packer.emplace(N, g, dirs, ranks, cfg.fields);
-        engine = {&*packer, &*packer};
-        // On-node cost per half-exchange: CPU runs price the strided
-        // pack; manual GPU staging prices a bandwidth-bound pack kernel
-        // plus shuttling the 26 packed buffers across the CPU-GPU link
-        // (Section 5's motivating workflow).
-        auto onnode_seconds = [&, staged](std::size_t bytes) {
-          if (!staged)
-            return model::pack_seconds(cfg.machine,
-                                       static_cast<std::int64_t>(bytes), 26);
-          const auto& gm = cfg.machine.gpu;
-          const double b = static_cast<double>(bytes);
-          return b / gm.hbm_bw + gm.launch_overhead  // pack kernel
-                 + b / gm.link_bw + 26 * gm.launch_overhead;  // cudaMemcpy
-        };
-        // onnode_seconds is captured by value: it must outlive this block.
-        pack_fn = [&, onnode_seconds] {
-          const std::size_t b =
-              cfg.fields > 1
-                  ? packer->pack(afields[static_cast<std::size_t>(input)])
-                  : packer->pack(fields[static_cast<std::size_t>(input)]);
-          comm.compute(onnode_seconds(b));
-        };
-        unpack_fn = [&, onnode_seconds] {
-          const std::size_t b =
-              cfg.fields > 1
-                  ? packer->unpack(afields[static_cast<std::size_t>(input)])
-                  : packer->unpack(fields[static_cast<std::size_t>(input)]);
-          comm.compute(onnode_seconds(b));
-        };
-        // dirs/ranks are block-local; the rebuild closure outlives them.
-        rebuild_fn = [&, dirs, ranks] {
-          packer.emplace(N, g, dirs, ranks, cfg.fields);
-        };
-      } else if (cfg.method == Method::MpiTypes) {
-        if (cfg.fields > 1) {
-          typer.emplace(N, g, dirs, ranks, afields[0]);
-        } else {
-          typer.emplace(N, g, dirs, ranks, fields[0]);
-        }
-        engine = {&*typer, &*typer};
-        for (std::size_t i = 0; i < 2; ++i)
-          origin[i] = cfg.fields > 1 ? afields[i].raw().data()
-                                     : fields[i].raw().data();
-        rebuild_fn = [&, dirs, ranks] {
-          if (cfg.fields > 1) {
-            typer.emplace(N, g, dirs, ranks, afields[0]);
-          } else {
-            typer.emplace(N, g, dirs, ranks, fields[0]);
-          }
-        };
-      } else {
-        brickx::fail("unsupported array-family method");
-      }
-
-      // Ghost seeds are overwritten by the exchange.
-      if (cfg.fields > 1) {
-        for (int f = 0; f < cfg.fields; ++f)
-          fill_init(afields[0].field_base(f), frame, offset, f);
-      } else {
-        fill_init(fields[0].raw().data(), frame, offset, 0);
-      }
-
-      compute_fn = [&](const Box<3>& box, bool /*first*/) {
-        if (execute) {
-          if (cfg.fields > 1) {
-            // Field slabs are laid out exactly like a frame-shaped
-            // CellArray3, so the span kernels run each field in place.
-            auto* s125 = cfg.naive_kernels ? &stencil::apply125_span_naive
-                                           : &stencil::apply125_span;
-            auto* s7 = cfg.naive_kernels ? &stencil::apply7_span_naive
-                                         : &stencil::apply7_span;
-            ArrayFields& src = afields[static_cast<std::size_t>(input)];
-            ArrayFields& dst = afields[static_cast<std::size_t>(1 - input)];
-            for (int f = 0; f < cfg.fields; ++f)
-              (cfg.use125 ? s125 : s7)(src.box(), src.field_base(f),
-                                       dst.field_base(f), box);
-          } else {
-            auto* a125 = cfg.naive_kernels ? &stencil::apply125_array_naive
-                                           : &stencil::apply125_array;
-            auto* a7 = cfg.naive_kernels ? &stencil::apply7_array_naive
-                                         : &stencil::apply7_array;
-            (cfg.use125 ? a125 : a7)(
-                fields[static_cast<std::size_t>(input)],
-                fields[static_cast<std::size_t>(1 - input)], box);
-          }
-        }
-        double secs;
-        if (cfg.gpu != GpuMode::None) {
-          // Staged fields are unregistered (plain host memory standing in
-          // for device arrays), so touch_device is a no-op for them.
-          secs = device->kernel_seconds(box.volume(), flops, kBytesPerCell);
-          for (auto& f : fields)
-            secs += device->touch_device(f.raw().data(),
-                                         f.raw().size() * sizeof(double));
-        } else {
-          secs = model::cpu_stencil_seconds(cfg.machine,
-                                            box.volume() * cfg.fields, flops,
-                                            kBytesPerCell,
-                                            cfg.method == Method::Yask);
-        }
-        comm.compute(secs);
-      };
-
-      validate_fn = [&]() -> bool {
-        const int total_steps =
-            cfg.warmup_exchanges * static_cast<int>(k) + cfg.timesteps;
-        for (int f = 0; f < cfg.fields; ++f) {
-          CellArray3 ref(Box<3>{{0, 0, 0}, global_ext});
-          fill_init(ref.raw().data(), ref.box(), Vec3{0, 0, 0}, f);
-          stencil::evolve_reference(ref, total_steps, cfg.use125);
-          const auto got_row = [&](const Vec3& p) -> const double* {
-            const auto in = static_cast<std::size_t>(input);
-            return cfg.fields > 1 ? afields[in].row(f, p) : fields[in].row(p);
-          };
-          if (!matches_reference(N, got_row, ref, offset)) return false;
-        }
-        return true;
-      };
+      ArrayDriver d(x, cart);
+      out = drive(x, d, col, refs);
     }
-
-    // ---- per-exchange accounting and the cost of one plan build ------------
-    const bool shift = cfg.method == Method::Shift;
-    const PlanCost plan_cost =
-        shift ? shs[0].setup_cost() : engine[0]->setup_cost();
-    out.msgs = shift ? shs[0].send_message_count()
-                     : engine[0]->send_message_count();
-    out.wire = out.payload =
-        shift ? shs[0].send_byte_count() : engine[0]->send_byte_count();
-    if (view) {
-      out.payload = view->payload_byte_count();
-      out.padding = view->padding_overhead_percent();
-    }
-
-    // ---- plan lifetime (DESIGN.md §9) --------------------------------------
-    out.builds = plan_copies;
-    if (cfg.plan == PlanMode::BuildOnce) {
-      // Bind the frozen plan(s) and charge the modeled one-time build cost
-      // now — before warmup and the barrier below. The barrier equalizes
-      // every rank's clock, so measured results stay byte-identical to
-      // pre-plan builds; the setup cost is visible only through
-      // Result::setup_seconds and the trace.
-      const double t0 = comm.clock().now();
-      {
-        obs::ObsSpan sp(obs::Cat::Setup, "plan_setup", -1);
-        if (shift) {
-          for (auto& sh : shs) sh.make_persistent(comm);
-        } else if (cfg.overlap) {
-          // The exchange period is even, so engine 0 carries every round
-          // on both the consumer (s == 0) and the producer (s == k-1)
-          // side; a second exchanger is never used under overlap.
-          engine[0]->make_partitioned(comm);
-        } else {
-          // Persistent MPI freezes the buffer address; binding to origin 0
-          // is safe because every round lands on input 0 (the even period
-          // again), which the engine checks on every start.
-          engine[0]->make_persistent(comm, origin[0]);
-          if (engine[1] != nullptr && engine[1] != engine[0])
-            engine[1]->make_persistent(comm, origin[1]);
-        }
-        double secs = 0;
-        for (int i = 0; i < plan_copies; ++i)
-          secs += plan_cost.seconds(comm.net());
-        comm.compute(secs);
-      }
-      out.setup = comm.clock().now() - t0;
-    }
-    // The engine this round's input buffer exchanges on. MemMap has none
-    // for stores[1]: the even exchange period never lands a round there.
-    auto round_engine = [&]() -> ExchangePlan& {
-      ExchangePlan* e = engine[static_cast<std::size_t>(input)];
-      BX_CHECK(e != nullptr, "exchange landed on a buffer without a plan");
-      return *e;
-    };
-
-    // ---- the timestep loop -------------------------------------------------
-    // Each phase is both delta-accumulated on the virtual clock (works with
-    // obs compiled out) and wrapped in a step-tagged ObsSpan; after the loop
-    // the obs build recomputes the phase totals from the spans (see
-    // phase_sum) as a live cross-check that the trace carries the ground
-    // truth — the two agree bit-exactly by construction.
-    auto now = [&] { return comm.clock().now(); };
-    // ---- overlap dependency-scheduler state --------------------------------
-    // A partitioned exchange round spans two steps: the *producer* step
-    // (s == k-1) opens the round and readies each outgoing partition as its
-    // source surface region finishes computing, so boundary data flows
-    // while the interior is still being produced; the *consumer* step
-    // (s == 0, next round) computes ghost-free cells first and then waits
-    // only on the partitions each shell piece actually reads.
-    const int total_step_count =
-        cfg.warmup_exchanges * static_cast<int>(k) + cfg.timesteps;
-    int steps_done = 0;
-    bool round_open = false;
-    // Cell-coordinate box of region ordinal `o` (brick grid → cells; ghost
-    // regions land in [-g, 0) ∪ [N, N+g) bands, matching the coordinates
-    // the shell pieces read).
-    auto region_cell_box = [&](int o) {
-      const auto& rg = dec->regions()[static_cast<std::size_t>(o)];
-      return Box<3>{rg.box.lo * dec->brick_dims(),
-                    rg.box.hi * dec->brick_dims()};
-    };
-    auto boxes_overlap = [](const Box<3>& a, const Box<3>& b) {
-      for (int i = 0; i < 3; ++i)
-        if (a.lo[i] >= b.hi[i] || b.lo[i] >= a.hi[i]) return false;
-      return true;
-    };
-    auto one_step = [&](int step, bool measured) {
-      const std::int64_t s = step % k;
-      // No producer step ahead of the last step overall, and none across
-      // the warmup→measured barrier: pre-starting the first measured round
-      // during (unmeasured) warmup would silently move its injection cost
-      // out of the measured window. The first measured round cold-starts
-      // at its s == 0 instead, exactly like the first warmup round.
-      const bool last_warmup =
-          ++steps_done == cfg.warmup_exchanges * static_cast<int>(k);
-      const bool no_prestart = steps_done == total_step_count || last_warmup;
-      // Measured steps tag spans with their timestep; warmup steps get
-      // distinct ids -2, -3, ... so the critical-path analyzer can keep
-      // per-step phase identity without them ever colliding with measured
-      // steps (phase_sum and the exporters filter on step >= 0 / < 0, so
-      // which negative id a warmup span carries is invisible to them).
-      const std::int64_t id = measured ? step : -2 - step;
-      if (s == 0 && cfg.plan == PlanMode::PerRound) {
-        // PerRound ablation: tear down and rebuild this round's plan inside
-        // the measured loop, charging the modeled build cost each time.
-        const double r0 = now();
-        {
-          obs::ObsSpan sp(obs::Cat::Setup, "replan", id);
-          rebuild_fn();
-          comm.compute(plan_cost.seconds(comm.net()));
-          ++out.builds;
-        }
-        if (measured) out.replan += now() - r0;
-      }
-      if (s == 0 && cfg.overlap) {
-        ExchangePlan& pe = *engine[0];
-        // Consumer side of a partitioned round. The round was normally
-        // opened (and every partition readied) by the previous producer
-        // step; the first round of the run cold-starts here instead, since
-        // its boundary data came from initialization, not a prior step.
-        const double t0 = now();
-        if (!round_open) {
-          obs::ObsSpan sp(obs::Cat::Call, "call", id);
-          pe.part_start();
-          const int nsend = static_cast<int>(pe.send_parts().size());
-          for (int j = 0; j < nsend; ++j) pe.part_pready(j);
-          round_open = true;
-        }
-        const double t1 = now();
-        // Interior outputs read no ghost data: compute them while the
-        // remaining partitions are still in flight on the virtual clock.
-        const Box<3> whole = stencil::expansion_output_box<3>(N, g, r, 0);
-        const Box<3> interior{Vec3::fill(r), N - Vec3::fill(r)};
-        {
-          obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-          compute_fn(interior, /*first=*/true);
-        }
-        const double t2 = now();
-        // Shell pieces wait only on the ghost partitions their stencil
-        // footprint (piece expanded by the radius) actually reads.
-        double shell_wait = 0, shell_calc = 0;
-        const std::vector<PartSpec>& rp = pe.recv_parts();
-        std::vector<char> consumed(rp.size(), 0);
-        for (const Box<3>& b : stencil::shell_boxes<3>(whole, interior)) {
-          const Box<3> need{b.lo - Vec3::fill(r), b.hi + Vec3::fill(r)};
-          const double w0 = now();
-          {
-            obs::ObsSpan sp(obs::Cat::Wait, "wait", id);
-            for (std::size_t j = 0; j < rp.size(); ++j) {
-              if (consumed[j]) continue;
-              if (!boxes_overlap(region_cell_box(rp[j].region), need))
-                continue;
-              pe.part_arrived(static_cast<int>(j));
-              consumed[j] = 1;
-            }
-          }
-          const double w1 = now();
-          {
-            obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-            compute_fn(b, /*first=*/false);
-          }
-          shell_wait += w1 - w0;
-          shell_calc += now() - w1;
-        }
-        const double t3 = now();
-        {
-          obs::ObsSpan sp(obs::Cat::Wait, "wait", id);
-          pe.part_finish();
-          round_open = false;
-        }
-        const double t4 = now();
-        if (measured) {
-          out.call += t1 - t0;
-          out.calc += (t2 - t1) + shell_calc;
-          out.wait += shell_wait + (t4 - t3);
-        }
-        input = 1 - input;
-        return;
-      }
-      if (s == k - 1 && cfg.overlap && !no_prestart) {
-        ExchangePlan& pe = *engine[0];
-        // Producer side: open the next round up front (receives post
-        // first), then compute this step's boundary regions one by one,
-        // readying each outgoing partition the moment its source region is
-        // done, and finish with the interior — which overlaps with every
-        // partition already in flight.
-        const double t0 = now();
-        {
-          obs::ObsSpan sp(obs::Cat::Call, "call", id);
-          pe.part_start();
-          round_open = true;
-        }
-        const double t1 = now();
-        double prod_calc = 0, prod_call = 0;
-        const std::vector<PartSpec>& sp_tbl = pe.send_parts();
-        bool first = true;
-        for (int o = 0; o < dec->surface_region_count(); ++o) {
-          const double c0 = now();
-          {
-            obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-            compute_fn(region_cell_box(o), first);
-          }
-          first = false;
-          const double c1 = now();
-          {
-            obs::ObsSpan sp(obs::Cat::Call, "call", id);
-            for (std::size_t j = 0; j < sp_tbl.size(); ++j)
-              if (sp_tbl[j].region == o) pe.part_pready(static_cast<int>(j));
-          }
-          prod_calc += c1 - c0;
-          prod_call += now() - c1;
-        }
-        {
-          const double c0 = now();
-          obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-          compute_fn(region_cell_box(dec->interior_ordinal()),
-                     /*first=*/false);
-          prod_calc += now() - c0;
-        }
-        if (measured) {
-          out.call += (t1 - t0) + prod_call;
-          out.calc += prod_calc;
-        }
-        input = 1 - input;
-        return;
-      }
-      if (s == 0) {
-        const double t0 = now();
-        if (pack_fn) {
-          obs::ObsSpan sp(obs::Cat::Pack, "pack", id);
-          pack_fn();
-        }
-        const double t1 = now();
-        {
-          obs::ObsSpan sp(obs::Cat::Call, "call", id);
-          if (!shift)
-            round_engine().start(comm,
-                                 origin[static_cast<std::size_t>(input)]);
-        }
-        const double t2 = now();
-        {
-          obs::ObsSpan sp(obs::Cat::Wait, "wait", id);
-          // Shift's phases wait on each other: bill the whole exchange to
-          // the wait phase (its call phase is empty).
-          if (shift) {
-            shs[static_cast<std::size_t>(input)].exchange(comm);
-          } else {
-            round_engine().finish(comm);
-          }
-        }
-        const double t3 = now();
-        if (unpack_fn) {
-          obs::ObsSpan sp(obs::Cat::Pack, "pack", id);
-          unpack_fn();
-        }
-        const double t4 = now();
-        if (measured) {
-          out.pack += (t1 - t0) + (t4 - t3);
-          out.call += t2 - t1;
-          out.wait += t3 - t2;
-        }
-      }
-      const double c0 = now();
-      {
-        obs::ObsSpan sp(obs::Cat::Calc, "calc", id);
-        compute_fn(stencil::expansion_output_box<3>(N, g, r, s),
-                   /*first=*/true);
-      }
-      if (measured) out.calc += now() - c0;
-      input = 1 - input;
-    };
-
-    for (int w = 0; w < cfg.warmup_exchanges; ++w)
-      for (int s = 0; s < static_cast<int>(k); ++s)
-        // Pass the global warmup ordinal so each warmup step's id is
-        // unique; one_step's `step % k` recovers the within-round phase.
-        one_step(w * static_cast<int>(k) + s, /*measured=*/false);
-    comm.barrier();
-    const double t_begin = now();
-    for (int step = 0; step < cfg.timesteps; ++step)
-      one_step(step, /*measured=*/true);
-    out.span = comm.allreduce_max(now() - t_begin);
-
-#if BRICKX_OBS
-    // Recompute the phase totals from the recorded spans. phase_sum repeats
-    // the per-step accumulation order of the deltas above, so this is
-    // bit-exact with them — the trace *is* the measurement.
-    {
-      const obs::RankLog& lg = col.log(comm.rank());
-      out.calc = obs::phase_sum(lg, obs::Cat::Calc, "calc");
-      out.pack = obs::phase_sum(lg, obs::Cat::Pack, "pack");
-      out.call = obs::phase_sum(lg, obs::Cat::Call, "call");
-      out.wait = obs::phase_sum(lg, obs::Cat::Wait, "wait");
-      // The one-time plan_setup span carries step = -1, so phase_sum only
-      // sees the measured in-loop rebuilds — matching out.replan's deltas.
-      out.replan = obs::phase_sum(lg, obs::Cat::Setup, "replan");
-    }
-#endif
-    // Per-rank metrics into the obs registry (the thread is still bound).
-    const double steps_d = static_cast<double>(cfg.timesteps);
-    obs::counter_add("comm.msgs_sent", comm.counters().msgs_sent);
-    obs::counter_add("comm.bytes_sent", comm.counters().bytes_sent);
-    obs::counter_add("comm.msgs_recv", comm.counters().msgs_recv);
-    obs::counter_add("comm.bytes_recv", comm.counters().bytes_recv);
-    obs::gauge_max("comm.max_inflight_reqs",
-                   static_cast<double>(comm.counters().max_inflight_reqs));
-    obs::hist_add("harness.calc_s", out.calc / steps_d);
-    obs::hist_add("harness.pack_s", out.pack / steps_d);
-    obs::hist_add("harness.call_s", out.call / steps_d);
-    obs::hist_add("harness.wait_s", out.wait / steps_d);
-    obs::hist_add("harness.plan_setup_s", out.setup);
-    obs::hist_add("harness.replan_s", out.replan / steps_d);
-    obs::counter_add("plan.builds", out.builds);
-
-    if (validate) out.validated = validate_fn();
-    outs[static_cast<std::size_t>(comm.rank())] = out;
   });
 
   // ---- aggregate -----------------------------------------------------------

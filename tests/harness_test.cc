@@ -160,6 +160,30 @@ TEST(Harness, InvalidConfigsRejected) {
   cfg3.machine = model::summit();
   cfg3.gpu = GpuMode::Unified;  // YASK is CPU-only
   EXPECT_THROW((void)run(cfg3), Error);
+
+  // The exchange period ghost / radius must be even and positive for every
+  // method. A zero period used to divide by zero in the step loop; an odd
+  // one landed rounds on the second buffer, which no plan is bound to.
+  auto rejects_period = [](Method m, bool use125, std::int64_t ghost) {
+    Config c = small_config(m, use125);
+    c.ghost = ghost;
+    try {
+      (void)run(c);
+    } catch (const Error& e) {
+      return std::string(e.what()).find("exchange period") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  for (Method m : {Method::Yask, Method::MpiTypes, Method::Basic,
+                   Method::Layout, Method::MemMap, Method::Shift,
+                   Method::Network})
+    EXPECT_TRUE(rejects_period(m, false, 0)) << method_name(m);
+  EXPECT_TRUE(rejects_period(Method::Yask, true, 1));
+  EXPECT_TRUE(rejects_period(Method::MpiTypes, true, 1));
+  EXPECT_TRUE(rejects_period(Method::MpiTypes, false, 3));
+  EXPECT_TRUE(rejects_period(Method::MpiTypes, true, 2));
+  EXPECT_TRUE(rejects_period(Method::Yask, false, -2));
 }
 
 TEST(Harness, UnifiedMemoryPenalizesUnalignedLayoutCompute) {
