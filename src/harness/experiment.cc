@@ -901,8 +901,7 @@ Result run(const Config& cfg) {
     rt.set_mem_hooks(device->hooks());
   }
 
-  const bool execute = cfg.execute_kernels && cfg.method != Method::Network &&
-                       !cfg.memmap_floor_proxy;
+  const bool execute = cfg.execute_kernels && cfg.method != Method::Network;
   const bool validate = cfg.validate && execute;
   const std::int64_t radius = cfg.use125 ? 2 : 1;
   const std::int64_t k = stencil::steps_per_exchange(cfg.ghost, radius);

@@ -87,11 +87,6 @@ struct Config {
   /// (lexicographic_layout(3)). An empty order (the default) keeps the
   /// optimized surface3d(). When set it must be a valid 3-D layout.
   LayoutSpec layout{};
-  /// Force a timing-only run (execute_kernels = false); the tuned-artifact
-  /// schema and the tuner's canonical key carry it. Timing-only MemMap
-  /// runs build unmapped views (ExchangeView): they hold no live mmap
-  /// segment, and every modeled figure equals the executed run's.
-  bool memmap_floor_proxy = false;
   /// Overlap communication with computation (brick methods except Shift):
   /// the interior — cells whose stencil inputs never touch the ghost
   /// frame — is computed between posting and completing the exchange; the

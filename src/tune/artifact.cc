@@ -69,7 +69,6 @@ harness::Config problem_config(const TunedArtifact& art) {
   cfg.fabric = art.fabric;
   cfg.transport = art.transport;
   cfg.overlap = art.overlap;
-  cfg.memmap_floor_proxy = art.memmap_floor_proxy;
   // The tuner evaluates the cost model; math validation is the tests' job.
   cfg.execute_kernels = false;
   return cfg;
@@ -109,7 +108,6 @@ TunedArtifact artifact_from(const harness::Config& problem) {
   art.fabric = problem.fabric;
   art.transport = problem.transport;
   art.overlap = problem.overlap;
-  art.memmap_floor_proxy = problem.memmap_floor_proxy;
   art.mapping = problem.mapping;
   art.brick = problem.brick;
   art.page_size = problem.page_size;
@@ -154,9 +152,7 @@ std::string to_json(const TunedArtifact& art) {
   os << "    \"fabric\": \"" << netsim::fabric_name(art.fabric) << "\",\n";
   os << "    \"transport\": \"" << transport::kind_name(art.transport)
      << "\",\n";
-  os << "    \"overlap\": " << (art.overlap ? "true" : "false") << ",\n";
-  os << "    \"memmap_floor_proxy\": "
-     << (art.memmap_floor_proxy ? "true" : "false") << "\n";
+  os << "    \"overlap\": " << (art.overlap ? "true" : "false") << "\n";
   os << "  },\n";
   os << "  \"choice\": {\n";
   os << "    \"layout\": \"" << art.layout_name << "\",\n";
@@ -408,8 +404,7 @@ std::optional<TunedArtifact> from_json(std::string_view text) {
       !get_i64(*problem, "ranks_per_node", &rpn) ||
       !get_str(*problem, "fabric", &fabric) ||
       !get_str(*problem, "transport", &transport_name) ||
-      !get_bool(*problem, "overlap", &art.overlap) ||
-      !get_bool(*problem, "memmap_floor_proxy", &art.memmap_floor_proxy))
+      !get_bool(*problem, "overlap", &art.overlap))
     return std::nullopt;
   if (!machine_by_name(art.machine)) return std::nullopt;
   const auto m = parse_method(method);

@@ -19,7 +19,7 @@
 
 namespace brickx::tune {
 
-inline constexpr std::string_view kArtifactSchema = "brickx-tuned-config-v1";
+inline constexpr std::string_view kArtifactSchema = "brickx-tuned-config-v2";
 
 struct TunedArtifact {
   // --- problem: what was tuned (everything else about the Config is the
@@ -38,7 +38,6 @@ struct TunedArtifact {
   netsim::FabricKind fabric = netsim::FabricKind::Flat;
   transport::Kind transport = transport::Kind::Flat;
   bool overlap = false;
-  bool memmap_floor_proxy = false;
 
   // --- choice: the four tuned levers.
   std::string layout_name = "surface3d";

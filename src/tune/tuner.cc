@@ -42,8 +42,7 @@ std::string canonical_key(const harness::Config& cfg) {
   os << ",layout=";
   for (std::size_t i = 0; i < cfg.layout.order.size(); ++i)
     os << (i ? ":" : "") << cfg.layout.order[i].raw();
-  os << ",proxy=" << (cfg.memmap_floor_proxy ? 1 : 0)
-     << ",overlap=" << (cfg.overlap ? 1 : 0)
+  os << ",overlap=" << (cfg.overlap ? 1 : 0)
      << ",fabric=" << netsim::fabric_name(cfg.fabric)
      << ",map=" << netsim::map_name(cfg.mapping)
      << ",faults=" << (cfg.faults.any() ? mpi::describe(cfg.faults) : "none")

@@ -329,12 +329,6 @@ TEST_P(MemMapTimingOnly, MatchesExecutedRunBitwise) {
   Config timing = executed;
   timing.execute_kernels = false;
   EXPECT_EQ(timing_bits(run(timing)), timing_bits(ref));
-  // The legacy proxy flag now only forces timing-only.
-  Config proxy = executed;
-  proxy.memmap_floor_proxy = true;
-  const Result p = run(proxy);
-  EXPECT_FALSE(p.validated);
-  EXPECT_EQ(timing_bits(p), timing_bits(ref));
 }
 
 INSTANTIATE_TEST_SUITE_P(

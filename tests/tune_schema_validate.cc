@@ -1,6 +1,6 @@
 // Artifact-contract check (plain main, registered with ctest as
 // tune_artifact_schema): validates the committed tuned-config artifact
-// (tests/data/tuned_config.json) against the fixed brickx-tuned-config-v1
+// (tests/data/tuned_config.json) against the fixed brickx-tuned-config-v2
 // shape — top-level sections, per-section key types, and the config-hash
 // format — then runs the brickx_tune binary twice on a small problem with
 // *different* worker-thread counts and requires the two emitted artifacts
@@ -75,9 +75,9 @@ void want_vec3(const Value& obj, const char* where, const char* key) {
 void validate_artifact(const Value& doc, const char* label) {
   const Value* schema = doc.find("schema");
   if (schema == nullptr || !schema->is(Value::Type::String) ||
-      schema->str != "brickx-tuned-config-v1")
+      schema->str != "brickx-tuned-config-v2")
     problem(std::string(label) +
-            ": 'schema' must be the string \"brickx-tuned-config-v1\"");
+            ": 'schema' must be the string \"brickx-tuned-config-v2\"");
 
   if (const Value* p = section(doc, "problem")) {
     want_str(*p, "problem", "machine");
@@ -93,7 +93,6 @@ void validate_artifact(const Value& doc, const char* label) {
     want_str(*p, "problem", "fabric");
     want_str(*p, "problem", "transport");
     want_bool(*p, "problem", "overlap");
-    want_bool(*p, "problem", "memmap_floor_proxy");
   }
 
   if (const Value* c = section(doc, "choice")) {

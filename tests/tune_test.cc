@@ -197,7 +197,7 @@ TEST(Artifact, ParserRejectsCorruptDocuments) {
   // Wrong schema version.
   {
     std::string bad = good;
-    const auto at = bad.find("brickx-tuned-config-v1");
+    const auto at = bad.find("brickx-tuned-config-v2");
     ASSERT_NE(at, std::string::npos);
     bad.replace(at, 22, "brickx-tuned-config-v9");
     EXPECT_FALSE(from_json(bad).has_value());
