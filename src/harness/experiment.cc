@@ -534,13 +534,7 @@ RankOut drive(const Rank& x, Driver& d, obs::Collector& col,
   const PlanCost plan_cost = d.account(out);
 
   // ---- plan lifetime (DESIGN.md §9) --------------------------------------
-  // Layout, Basic and Shift are still charged for a spare plan over the
-  // second buffer, which no round ever uses.
-  const bool spare = cfg.method == Method::Layout ||
-                     cfg.method == Method::Basic ||
-                     cfg.method == Method::Shift;
-  const int plan_copies = spare ? 2 : 1;
-  out.builds = plan_copies;
+  out.builds = 1;
   if (cfg.plan == PlanMode::BuildOnce) {
     // Bind the frozen plan and charge the modeled one-time build cost now —
     // before warmup and the barrier below. The barrier equalizes every
@@ -551,10 +545,7 @@ RankOut drive(const Rank& x, Driver& d, obs::Collector& col,
     {
       obs::ObsSpan sp(obs::Cat::Setup, "plan_setup", -1);
       d.bind(comm, cfg.overlap);
-      double secs = 0;
-      for (int i = 0; i < plan_copies; ++i)
-        secs += plan_cost.seconds(comm.net());
-      comm.compute(secs);
+      comm.compute(plan_cost.seconds(comm.net()));
     }
     out.setup = comm.clock().now() - t0;
   }
