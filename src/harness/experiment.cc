@@ -98,39 +98,6 @@ struct RankOut {
   bool validated = false;
 };
 
-void compute_bricks(const Config& cfg, const BrickDecomp<3>& dec,
-                    const BrickInfo<3>& info, BrickStorage& in,
-                    BrickStorage& out, const Box<3>& box) {
-  auto go = [&](auto tag) {
-    constexpr int B = decltype(tag)::value;
-    // AoSoA: field f lives at element offset f * B^3 within every brick
-    // chunk; each field runs the same kernel over the same adjacency.
-    for (int f = 0; f < in.fields(); ++f) {
-      const std::int64_t off = f * dec.elements_per_brick();
-      Brick<B, B, B> bin(&info, &in, off);
-      Brick<B, B, B> bout(&info, &out, off);
-      if (cfg.use125) {
-        if (cfg.naive_kernels) {
-          stencil::apply125_bricks_naive<B, B, B>(dec, bout, bin, box);
-        } else {
-          stencil::apply125_bricks<B, B, B>(dec, bout, bin, box);
-        }
-      } else if (cfg.naive_kernels) {
-        stencil::apply7_bricks_naive<B, B, B>(dec, bout, bin, box);
-      } else {
-        stencil::apply7_bricks<B, B, B>(dec, bout, bin, box);
-      }
-    }
-  };
-  if (cfg.brick == 8) {
-    go(std::integral_constant<int, 8>{});
-  } else if (cfg.brick == 4) {
-    go(std::integral_constant<int, 4>{});
-  } else {
-    brickx::fail("harness kernels support brick extents 4 and 8");
-  }
-}
-
 bool is_brick(Method m) { return m != Method::Yask && m != Method::MpiTypes; }
 
 /// Stage 1: reject an unrunnable Config before any rank is spawned. Each
@@ -193,8 +160,11 @@ void check(const Config& cfg) {
 
 /// Stage 2: each field's global reference, evolved once per run over the
 /// whole periodic domain; every rank compares its subdomain against it.
-std::vector<CellArray3> evolve_references(const Config& cfg,
-                                          int total_steps) {
+std::vector<CellArray3> evolve_references(const Config& cfg) {
+  const std::int64_t k =
+      stencil::steps_per_exchange(cfg.ghost, cfg.use125 ? 2 : 1);
+  const int total_steps =
+      cfg.warmup_exchanges * static_cast<int>(k) + cfg.timesteps;
   std::vector<CellArray3> refs;
   for (int f = 0; f < cfg.fields; ++f) {
     CellArray3& ref =
@@ -211,8 +181,6 @@ struct Rank {
   Comm& comm;
   gpu::Device* dev;  ///< null for CPU runs
   bool execute;      ///< run the math, not just its modeled cost
-  std::int64_t r;    ///< stencil radius
-  std::int64_t k;    ///< steps per exchange (even, >= 2)
   Vec3 offset;       ///< global coordinates of the subdomain origin
 
   [[nodiscard]] mpi::MemSpace space() const {
@@ -229,13 +197,13 @@ struct Rank {
 /// Basic, Layout, MemMap, Shift and Network: bricks over a BrickDecomp.
 class BrickDriver {
  public:
-  BrickDriver(const Rank& x, const Cart<3>& cart)
-      : x_(x),
-        dec_(x.cfg.subdomain, x.cfg.ghost, Vec3::fill(x.cfg.brick),
-             x.cfg.layout.order.empty() ? surface3d() : x.cfg.layout),
+  BrickDriver(const Rank& ctx, const Cart<3>& cart)
+      : ctx_(ctx),
+        dec_(ctx.cfg.subdomain, ctx.cfg.ghost, Vec3::fill(ctx.cfg.brick),
+             ctx.cfg.layout.order.empty() ? surface3d() : ctx.cfg.layout),
         info_(dec_.brick_info()),
-        regs_(x.dev) {
-    const Config& cfg = x.cfg;
+        regs_(ctx.dev) {
+    const Config& cfg = ctx.cfg;
     // MemMap over unified memory must align chunks to the *UM* page size
     // (64 KiB on Power9/ATS) — that alignment is what spares its compute
     // from fault backwash (Figure 15).
@@ -247,7 +215,7 @@ class BrickDriver {
                             : dec_.allocate(cfg.fields));
     ranks_ = populate(cart, dec_);
     if (cfg.gpu != GpuMode::None)
-      for (auto& s : stores_) regs_.range(s.data(), s.bytes(), x.space());
+      for (auto& s : stores_) regs_.range(s.data(), s.bytes(), ctx.space());
     if (cfg.method == Method::Shift) axis_ranks_ = shift_neighbors(cart);
     build();
     if (const auto* view = std::get_if<ExchangeView<3>>(&plan_)) {
@@ -269,21 +237,25 @@ class BrickDriver {
     // Initialize the input fields from global coordinates.
     CellArray3 seed(Box<3>{{0, 0, 0}, cfg.subdomain});
     for (int f = 0; f < cfg.fields; ++f) {
-      fill_init(seed.raw().data(), seed.box(), x.offset, f);
+      fill_init(seed.raw().data(), seed.box(), ctx.offset, f);
       cells_to_bricks(dec_, seed, stores_[0], f);
     }
   }
+
+  // engine_ points into this object.
+  BrickDriver(const BrickDriver&) = delete;
+  BrickDriver& operator=(const BrickDriver&) = delete;
 
   /// Emplacing destroys the old plan first, so a MemMap rebuild tears its
   /// views down before stitching new ones. Timing-only MemMap runs read no
   /// ghost byte, so their views are not mapped at all.
   void build() {
-    const Method m = x_.cfg.method;
+    const Method m = ctx_.cfg.method;
     if (m == Method::Shift) {
       plan_.emplace<ShiftExchanger<3>>(dec_, stores_[0], axis_ranks_);
     } else if (m == Method::MemMap) {
       engine_ = &plan_.emplace<ExchangeView<3>>(dec_, stores_[0], ranks_,
-                                                x_.execute);
+                                                ctx_.execute);
     } else if (m == Method::Network) {
       engine_ = &plan_.emplace<NetworkFloorExchanger<3>>(dec_, stores_[0],
                                                          ranks_);
@@ -296,8 +268,37 @@ class BrickDriver {
   }
 
   void kernel(const Box<3>& box, int in) {
-    compute_bricks(x_.cfg, dec_, info_, stores_[static_cast<std::size_t>(in)],
-                   stores_[static_cast<std::size_t>(1 - in)], box);
+    const Config& cfg = ctx_.cfg;
+    BrickStorage& src = stores_[static_cast<std::size_t>(in)];
+    BrickStorage& dst = stores_[static_cast<std::size_t>(1 - in)];
+    auto go = [&](auto tag) {
+      constexpr int B = decltype(tag)::value;
+      // AoSoA: field f lives at element offset f * B^3 within every brick
+      // chunk; each field runs the same kernel over the same adjacency.
+      for (int f = 0; f < cfg.fields; ++f) {
+        const std::int64_t off = f * dec_.elements_per_brick();
+        Brick<B, B, B> bin(&info_, &src, off);
+        Brick<B, B, B> bout(&info_, &dst, off);
+        if (cfg.use125) {
+          if (cfg.naive_kernels) {
+            stencil::apply125_bricks_naive<B, B, B>(dec_, bout, bin, box);
+          } else {
+            stencil::apply125_bricks<B, B, B>(dec_, bout, bin, box);
+          }
+        } else if (cfg.naive_kernels) {
+          stencil::apply7_bricks_naive<B, B, B>(dec_, bout, bin, box);
+        } else {
+          stencil::apply7_bricks<B, B, B>(dec_, bout, bin, box);
+        }
+      }
+    };
+    if (cfg.brick == 8) {
+      go(std::integral_constant<int, 8>{});
+    } else if (cfg.brick == 4) {
+      go(std::integral_constant<int, 4>{});
+    } else {
+      brickx::fail("harness kernels support brick extents 4 and 8");
+    }
   }
   /// GPU page touches of one sweep. The kernel touches chunk *payloads*
   /// only: page-padding tails are never read by compute, so they stay
@@ -305,7 +306,7 @@ class BrickDriver {
   double touch(double secs) const {
     for (const BrickStorage& st : stores_)
       for (const auto& c : st.chunks())
-        secs += x_.dev->touch_device(st.data() + c.offset, c.bytes);
+        secs += ctx_.dev->touch_device(st.data() + c.offset, c.bytes);
     return secs;
   }
   [[nodiscard]] static bool packs() { return false; }
@@ -351,7 +352,7 @@ class BrickDriver {
 
   /// Row accessor over field f of buffer `in`, for validation.
   auto rows(int f, int in) {
-    CellArray3 got(Box<3>{{0, 0, 0}, x_.cfg.subdomain});
+    CellArray3 got(Box<3>{{0, 0, 0}, ctx_.cfg.subdomain});
     bricks_to_cells(dec_, stores_[static_cast<std::size_t>(in)], f, got);
     return [got = std::move(got)](const Vec3& p) { return got.row(p); };
   }
@@ -359,7 +360,7 @@ class BrickDriver {
  private:
   ShiftExchanger<3>& shift() { return std::get<ShiftExchanger<3>>(plan_); }
 
-  const Rank& x_;
+  const Rank& ctx_;
   BrickDecomp<3> dec_;
   BrickInfo<3> info_;
   std::vector<BrickStorage> stores_;
@@ -379,25 +380,30 @@ class BrickDriver {
 /// ghost frame, so one message per neighbor carries every field.
 class ArrayDriver {
  public:
-  ArrayDriver(const Rank& x, const Cart<3>& cart) : x_(x), regs_(x.dev) {
-    const Config& cfg = x.cfg;
+  ArrayDriver(const Rank& ctx, const Cart<3>& cart)
+      : ctx_(ctx), regs_(ctx.dev) {
+    const Config& cfg = ctx.cfg;
     const Box<3> frame{Vec3{0, 0, 0} - Vec3::fill(cfg.ghost),
                        cfg.subdomain + Vec3::fill(cfg.ghost)};
     for (int i = 0; i < 2; ++i) bufs_.emplace_back(frame, cfg.fields);
     if (cfg.gpu != GpuMode::None && cfg.gpu != GpuMode::Staged)
       for (auto& b : bufs_)
         regs_.range(b.raw().data(), b.raw().size() * sizeof(double),
-                    x.space());
+                    ctx.space());
     dirs_ = Cart<3>::all_directions();
     for (const auto& d : dirs_) ranks_.push_back(cart.neighbor(d));
     build();
     // Ghost seeds are overwritten by the exchange.
     for (int f = 0; f < cfg.fields; ++f)
-      fill_init(bufs_[0].field_base(f), frame, x.offset, f);
+      fill_init(bufs_[0].field_base(f), frame, ctx.offset, f);
   }
 
+  // engine_ points into this object.
+  ArrayDriver(const ArrayDriver&) = delete;
+  ArrayDriver& operator=(const ArrayDriver&) = delete;
+
   void build() {
-    const Config& cfg = x_.cfg;
+    const Config& cfg = ctx_.cfg;
     if (cfg.method == Method::Yask) {
       engine_ = &plan_.emplace<baseline::PackExchanger>(
           cfg.subdomain, cfg.ghost, dirs_, ranks_, cfg.fields);
@@ -410,7 +416,7 @@ class ArrayDriver {
   /// Field slabs are laid out exactly like a frame-shaped CellArray3, so
   /// the span kernels run each field in place.
   void kernel(const Box<3>& box, int in) {
-    const Config& cfg = x_.cfg;
+    const Config& cfg = ctx_.cfg;
     auto* k125 = cfg.naive_kernels ? &stencil::apply125_span_naive
                                    : &stencil::apply125_span;
     auto* k7 =
@@ -425,7 +431,7 @@ class ArrayDriver {
   /// device arrays), so touch_device is a no-op for them.
   double touch(double secs) const {
     for (const ArrayFields& b : bufs_)
-      secs += x_.dev->touch_device(b.raw().data(),
+      secs += ctx_.dev->touch_device(b.raw().data(),
                                    b.raw().size() * sizeof(double));
     return secs;
   }
@@ -433,11 +439,11 @@ class ArrayDriver {
     return std::holds_alternative<baseline::PackExchanger>(plan_);
   }
   void pack() {
-    x_.comm.compute(onnode_seconds(
+    ctx_.comm.compute(onnode_seconds(
         std::get<baseline::PackExchanger>(plan_).pack(bufs_[0])));
   }
   void unpack() {
-    x_.comm.compute(onnode_seconds(
+    ctx_.comm.compute(onnode_seconds(
         std::get<baseline::PackExchanger>(plan_).unpack(bufs_[0])));
   }
 
@@ -467,7 +473,7 @@ class ArrayDriver {
   /// the 26 packed buffers across the CPU-GPU link (Section 5's motivating
   /// workflow).
   double onnode_seconds(std::size_t bytes) const {
-    const Config& cfg = x_.cfg;
+    const Config& cfg = ctx_.cfg;
     if (cfg.gpu != GpuMode::Staged)
       return model::pack_seconds(cfg.machine, static_cast<std::int64_t>(bytes),
                                  26);
@@ -477,7 +483,7 @@ class ArrayDriver {
            + b / gm.link_bw + 26 * gm.launch_overhead;  // cudaMemcpy
   }
 
-  const Rank& x_;
+  const Rank& ctx_;
   std::vector<ArrayFields> bufs_;
   std::vector<BitSet> dirs_;
   std::vector<int> ranks_;
@@ -493,12 +499,13 @@ class ArrayDriver {
 /// Run one rank's plan setup, warmup and measured timesteps over driver
 /// `d`, and validate against `refs` when they are given.
 template <class Driver>
-RankOut drive(const Rank& x, Driver& d, obs::Collector& col,
+RankOut drive(const Rank& ctx, Driver& d, obs::Collector& col,
               const std::vector<CellArray3>& refs) {
-  const Config& cfg = x.cfg;
-  Comm& comm = x.comm;
+  const Config& cfg = ctx.cfg;
+  Comm& comm = ctx.comm;
   const Vec3 N = cfg.subdomain;
-  const std::int64_t g = cfg.ghost, r = x.r, k = x.k;
+  const std::int64_t g = cfg.ghost, r = cfg.use125 ? 2 : 1;
+  const std::int64_t k = stencil::steps_per_exchange(g, r);  // even, >= 2
   const double flops =
       cfg.use125 ? stencil::Stencil125::kFlops : stencil::Stencil7::kFlops;
   constexpr double kBytesPerCell = 16.0;  // one read + one write stream
@@ -512,15 +519,11 @@ RankOut drive(const Rank& x, Driver& d, obs::Collector& col,
   // per step — on the `first` piece — and later pieces cost marginal volume
   // only. A whole-box step is its own first piece.
   auto compute = [&](const Box<3>& box, bool first) {
-    if (x.execute) d.kernel(box, input);
+    if (ctx.execute) d.kernel(box, input);
     double secs;
     if (cfg.gpu != GpuMode::None) {
-      secs = x.dev->kernel_seconds(box.volume(), flops, kBytesPerCell);
-      if (first) {
-        secs = d.touch(secs);
-      } else {
-        secs -= cfg.machine.gpu.launch_overhead;
-      }
+      secs = ctx.dev->kernel_seconds(box.volume(), flops, kBytesPerCell);
+      secs = first ? d.touch(secs) : secs - cfg.machine.gpu.launch_overhead;
     } else {
       secs = model::cpu_stencil_seconds(cfg.machine, box.volume() * cfg.fields,
                                         flops, kBytesPerCell,
@@ -538,9 +541,9 @@ RankOut drive(const Rank& x, Driver& d, obs::Collector& col,
   if (cfg.plan == PlanMode::BuildOnce) {
     // Bind the frozen plan and charge the modeled one-time build cost now —
     // before warmup and the barrier below. The barrier equalizes every
-    // rank's clock, so measured results stay byte-identical to pre-plan
-    // builds; the setup cost is visible only through Result::setup_seconds
-    // and the trace.
+    // rank's clock, so the setup cost is visible only through
+    // Result::setup_seconds and the trace (and in the rounding of measured
+    // differences, whose timestamps all carry the setup offset).
     const double t0 = comm.clock().now();
     {
       obs::ObsSpan sp(obs::Cat::Setup, "plan_setup", -1);
@@ -804,7 +807,7 @@ RankOut drive(const Rank& x, Driver& d, obs::Collector& col,
   out.validated = !refs.empty();
   for (int f = 0; out.validated && f < cfg.fields; ++f)
     out.validated = matches_reference(
-        N, d.rows(f, input), refs[static_cast<std::size_t>(f)], x.offset);
+        N, d.rows(f, input), refs[static_cast<std::size_t>(f)], ctx.offset);
   return out;
 }
 
@@ -894,26 +897,21 @@ Result run(const Config& cfg) {
 
   const bool execute = cfg.execute_kernels && cfg.method != Method::Network;
   const bool validate = cfg.validate && execute;
-  const std::int64_t radius = cfg.use125 ? 2 : 1;
-  const std::int64_t k = stencil::steps_per_exchange(cfg.ghost, radius);
   const std::vector<CellArray3> refs =
-      validate ? evolve_references(
-                     cfg, cfg.warmup_exchanges * static_cast<int>(k) +
-                              cfg.timesteps)
-               : std::vector<CellArray3>{};
+      validate ? evolve_references(cfg) : std::vector<CellArray3>{};
 
   std::vector<RankOut> outs(static_cast<std::size_t>(nranks));
   rt.run([&](Comm& comm) {
     Cart<3> cart(comm, cfg.rank_dims);
-    const Rank x{cfg,    comm, device ? &*device : nullptr,
-                 execute, radius, k, cart.coords() * cfg.subdomain};
+    const Rank ctx{cfg, comm, device ? &*device : nullptr, execute,
+                   cart.coords() * cfg.subdomain};
     RankOut& out = outs[static_cast<std::size_t>(comm.rank())];
     if (is_brick(cfg.method)) {
-      BrickDriver d(x, cart);
-      out = drive(x, d, col, refs);
+      BrickDriver d(ctx, cart);
+      out = drive(ctx, d, col, refs);
     } else {
-      ArrayDriver d(x, cart);
-      out = drive(x, d, col, refs);
+      ArrayDriver d(ctx, cart);
+      out = drive(ctx, d, col, refs);
     }
   });
 

@@ -59,7 +59,7 @@ struct Config {
   Vec3 rank_dims{2, 2, 2};   ///< process grid (prod == world size)
   Vec3 subdomain{32, 32, 32};  ///< cells per rank
   std::int64_t brick = 8;      ///< cubic brick extent (4 or 8)
-  std::int64_t ghost = 8;      ///< ghost width in cells (multiple of brick)
+  std::int64_t ghost = 8;      ///< ghost width (multiple of brick, 2*radius)
   bool use125 = false;         ///< 125-point instead of 7-point stencil
   /// Coupled fields evolved together (DESIGN.md §16). Brick methods store
   /// them AoSoA inside each brick chunk and the array baselines as
