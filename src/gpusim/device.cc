@@ -135,20 +135,37 @@ double Device::migrate(Range& r, std::uintptr_t base, const void* p,
   return secs;
 }
 
-double Device::touch_host(const void* p, std::size_t n) {
-  std::lock_guard lk(mu_);
+double Device::touch_locked(const void* p, std::size_t n, Side to) {
   const void* rp = nullptr;
   auto it = resolve(p, &rp);
   if (it == ranges_.end()) return 0.0;
-  return migrate(it->second, it->first, rp, n, Side::Host);
+  return migrate(it->second, it->first, rp, n, to);
+}
+
+double Device::touch_host(const void* p, std::size_t n) {
+  std::lock_guard lk(mu_);
+  return touch_locked(p, n, Side::Host);
 }
 
 double Device::touch_device(const void* p, std::size_t n) {
   std::lock_guard lk(mu_);
-  const void* rp = nullptr;
-  auto it = resolve(p, &rp);
-  if (it == ranges_.end()) return 0.0;
-  return migrate(it->second, it->first, rp, n, Side::Device);
+  return touch_locked(p, n, Side::Device);
+}
+
+void Device::touch_host(const void* base, std::span<const Block> blocks,
+                        mpi::VClock& clock) {
+  const auto* b = static_cast<const std::byte*>(base);
+  std::lock_guard lk(mu_);
+  for (const Block& blk : blocks)
+    clock.advance(touch_locked(b + blk.offset, blk.length, Side::Host));
+}
+
+void Device::touch_device(const void* base, std::span<const Block> blocks,
+                          double& secs) {
+  const auto* b = static_cast<const std::byte*>(base);
+  std::lock_guard lk(mu_);
+  for (const Block& blk : blocks)
+    secs += touch_locked(b + blk.offset, blk.length, Side::Device);
 }
 
 double Device::memcpy_h2d(void* dst, const void* src, std::size_t n) {
@@ -172,8 +189,8 @@ double Device::kernel_seconds(std::int64_t cells, double flops_per_cell,
 mpi::MemHooks Device::hooks() {
   mpi::MemHooks h;
   h.classify = [this](const void* p) { return classify(p); };
-  h.touch = [this](int /*rank*/, const void* p, std::size_t n,
-                   bool /*write*/) { return touch_host(p, n); };
+  h.touch = [this](const void* base, std::span<const Block> blocks,
+                   mpi::VClock& clock) { touch_host(base, blocks, clock); };
   return h;
 }
 

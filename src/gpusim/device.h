@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "simmpi/comm.h"
@@ -77,6 +78,21 @@ class Device {
   /// resident on the host fault over. Returns seconds.
   double touch_device(const void* p, std::size_t n);
 
+  /// One contiguous piece of a batched touch: [base + offset,
+  /// base + offset + length).
+  using Block = mpi::FlatType::Block;
+
+  /// Batched forms: every block of one message or kernel sweep under one
+  /// lock. Each block is charged exactly as the single-range call would
+  /// charge it, in block order. The host form advances `clock` by each
+  /// block's seconds before applying the next block, so um_migrate notes
+  /// land where one call per block puts them; the device form adds each
+  /// block's seconds to the running sum `secs`.
+  void touch_host(const void* base, std::span<const Block> blocks,
+                  mpi::VClock& clock);
+  void touch_device(const void* base, std::span<const Block> blocks,
+                    double& secs);
+
   /// Explicit cudaMemcpy-style staging: performs the copy for real and
   /// returns the modeled transfer seconds.
   double memcpy_h2d(void* dst, const void* src, std::size_t n);
@@ -89,9 +105,9 @@ class Device {
 
   [[nodiscard]] const GpuModel& model() const { return model_; }
 
-  /// Hooks for mpi::Runtime::set_mem_hooks. The touch hook charges
-  /// touch_host for every buffer the (simulated) MPI library reads or
-  /// writes from the host side.
+  /// Hooks for mpi::Runtime::set_mem_hooks. The touch hook charges the
+  /// batched touch_host for every buffer the (simulated) MPI library reads
+  /// or writes from the host side.
   [[nodiscard]] mpi::MemHooks hooks();
 
   /// Unified pages migrated so far (diagnostics / tests).
@@ -107,6 +123,8 @@ class Device {
   };
   double migrate(Range& r, std::uintptr_t base, const void* p, std::size_t n,
                  Side to);
+  /// One range's touch with mu_ held.
+  double touch_locked(const void* p, std::size_t n, Side to);
   /// Resolve p through at most one alias hop; returns the owning range (or
   /// ranges_.end()) with the redirected pointer in *rp.
   std::map<std::uintptr_t, Range>::iterator resolve(const void* p,

@@ -194,15 +194,23 @@ struct Rank {
 // Every exchange lands on input buffer 0 (the even period), so build()
 // makes the plan over buffer 0, both at setup and on a PerRound rebuild.
 
+/// The brick decomposition and its adjacency. Every rank's is identical
+/// (they depend only on subdomain, ghost, brick and layout), so run()
+/// builds one and the ranks share it read-only.
+struct BrickGrid {
+  explicit BrickGrid(const Config& cfg)
+      : dec(cfg.subdomain, cfg.ghost, Vec3::fill(cfg.brick),
+            cfg.layout.order.empty() ? surface3d() : cfg.layout),
+        info(dec.brick_info()) {}
+  BrickDecomp<3> dec;
+  BrickInfo<3> info;
+};
+
 /// Basic, Layout, MemMap, Shift and Network: bricks over a BrickDecomp.
 class BrickDriver {
  public:
-  BrickDriver(const Rank& ctx, const Cart<3>& cart)
-      : ctx_(ctx),
-        dec_(ctx.cfg.subdomain, ctx.cfg.ghost, Vec3::fill(ctx.cfg.brick),
-             ctx.cfg.layout.order.empty() ? surface3d() : ctx.cfg.layout),
-        info_(dec_.brick_info()),
-        regs_(ctx.dev) {
+  BrickDriver(const Rank& ctx, const Cart<3>& cart, const BrickGrid& grid)
+      : ctx_(ctx), dec_(grid.dec), info_(grid.info), regs_(ctx.dev) {
     const Config& cfg = ctx.cfg;
     // MemMap over unified memory must align chunks to the *UM* page size
     // (64 KiB on Power9/ATS) — that alignment is what spares its compute
@@ -214,8 +222,12 @@ class BrickDriver {
                             ? dec_.mmap_alloc(cfg.fields, ps)
                             : dec_.allocate(cfg.fields));
     ranks_ = populate(cart, dec_);
-    if (cfg.gpu != GpuMode::None)
+    if (cfg.gpu != GpuMode::None) {
       for (auto& s : stores_) regs_.range(s.data(), s.bytes(), ctx.space());
+      // Both buffers are allocated alike, so they share one chunk layout.
+      for (const auto& c : stores_[0].chunks())
+        chunk_blocks_.push_back({c.offset, c.bytes});
+    }
     if (cfg.method == Method::Shift) axis_ranks_ = shift_neighbors(cart);
     build();
     if (const auto* view = std::get_if<ExchangeView<3>>(&plan_)) {
@@ -234,11 +246,14 @@ class BrickDriver {
         });
       }
     }
-    // Initialize the input fields from global coordinates.
-    CellArray3 seed(Box<3>{{0, 0, 0}, cfg.subdomain});
-    for (int f = 0; f < cfg.fields; ++f) {
-      fill_init(seed.raw().data(), seed.box(), ctx.offset, f);
-      cells_to_bricks(dec_, seed, stores_[0], f);
+    // Initialize the input fields from global coordinates. A timing-only
+    // run reads no field value, so its bricks keep the allocation's zeros.
+    if (ctx.execute) {
+      CellArray3 seed(Box<3>{{0, 0, 0}, cfg.subdomain});
+      for (int f = 0; f < cfg.fields; ++f) {
+        fill_init(seed.raw().data(), seed.box(), ctx.offset, f);
+        cells_to_bricks(dec_, seed, stores_[0], f);
+      }
     }
   }
 
@@ -305,8 +320,7 @@ class BrickDriver {
   /// wherever the exchange left them.
   double touch(double secs) const {
     for (const BrickStorage& st : stores_)
-      for (const auto& c : st.chunks())
-        secs += ctx_.dev->touch_device(st.data() + c.offset, c.bytes);
+      ctx_.dev->touch_device(st.data(), chunk_blocks_, secs);
     return secs;
   }
   [[nodiscard]] static bool packs() { return false; }
@@ -361,9 +375,10 @@ class BrickDriver {
   ShiftExchanger<3>& shift() { return std::get<ShiftExchanger<3>>(plan_); }
 
   const Rank& ctx_;
-  BrickDecomp<3> dec_;
-  BrickInfo<3> info_;
+  const BrickDecomp<3>& dec_;
+  const BrickInfo<3>& info_;
   std::vector<BrickStorage> stores_;
+  std::vector<gpu::Device::Block> chunk_blocks_;  ///< GPU runs only
   std::vector<int> ranks_;
   std::vector<std::array<int, 2>> axis_ranks_;  ///< Shift only
   std::variant<std::monostate, Exchanger<3>, ExchangeView<3>,
@@ -393,9 +408,11 @@ class ArrayDriver {
     dirs_ = Cart<3>::all_directions();
     for (const auto& d : dirs_) ranks_.push_back(cart.neighbor(d));
     build();
-    // Ghost seeds are overwritten by the exchange.
-    for (int f = 0; f < cfg.fields; ++f)
-      fill_init(bufs_[0].field_base(f), frame, ctx.offset, f);
+    // Ghost seeds are overwritten by the exchange; timing-only runs read
+    // no field value and skip the fill.
+    if (ctx.execute)
+      for (int f = 0; f < cfg.fields; ++f)
+        fill_init(bufs_[0].field_base(f), frame, ctx.offset, f);
   }
 
   // engine_ points into this object.
@@ -899,6 +916,8 @@ Result run(const Config& cfg) {
   const bool validate = cfg.validate && execute;
   const std::vector<CellArray3> refs =
       validate ? evolve_references(cfg) : std::vector<CellArray3>{};
+  std::optional<BrickGrid> grid;
+  if (is_brick(cfg.method)) grid.emplace(cfg);
 
   std::vector<RankOut> outs(static_cast<std::size_t>(nranks));
   rt.run([&](Comm& comm) {
@@ -907,7 +926,7 @@ Result run(const Config& cfg) {
                    cart.coords() * cfg.subdomain};
     RankOut& out = outs[static_cast<std::size_t>(comm.rank())];
     if (is_brick(cfg.method)) {
-      BrickDriver d(ctx, cart);
+      BrickDriver d(ctx, cart, *grid);
       out = drive(ctx, d, col, refs);
     } else {
       ArrayDriver d(ctx, cart);

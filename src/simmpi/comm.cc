@@ -85,12 +85,9 @@ Request Comm::isend_impl(const void* buf, std::size_t bytes,
   // NIC/host; the gpusim hook charges it. Datatype sends touch each
   // contiguous block at its real offset (not the packed size).
   if (flat != nullptr) {
-    for (const auto& blk : flat->blocks)
-      clock_.advance(rt_->touch(rank_,
-                                static_cast<const std::byte*>(buf) + blk.offset,
-                                blk.length, /*write=*/false));
+    rt_->touch(buf, flat->blocks, clock_);
   } else {
-    clock_.advance(rt_->touch(rank_, buf, bytes, /*write=*/false));
+    rt_->touch(buf, bytes, clock_);
   }
 
   // Hand the message to the transport tier. Flat (the default) gives every
@@ -576,7 +573,7 @@ void Partitioned::pready(int i) {
   env.part = i;
   env.data.resize(bytes);
   std::memcpy(env.data.data(), src, bytes);
-  c.clock_.advance(rt->touch(c.rank_, src, bytes, /*write=*/false));
+  rt->touch(src, bytes, c.clock_);
 
   // Same transport decision tree as isend_impl, applied per partition: the
   // on-node tier hands the partition off directly; aggregation stages it as
@@ -740,7 +737,7 @@ bool Partitioned::consume(int i) {
   }
   c.clock_.advance_to(arrival);
   std::memcpy(dst, env.data.data(), bytes);
-  c.clock_.advance(rt->touch(c.rank_, dst, bytes, /*write=*/true));
+  rt->touch(dst, bytes, c.clock_);
   st.done[static_cast<std::size_t>(i)] = 1;
   if (--st.remaining == 0) {
     c.counters_.msgs_recv += 1;
@@ -870,13 +867,10 @@ void Comm::wait(Request& req) {
                    static_cast<double>(st.bytes) / m.dt_copy_bw);
     counters_.dt_blocks += static_cast<std::int64_t>(st.flat->blocks.size());
     counters_.dt_pack_bytes += static_cast<std::int64_t>(st.bytes);
-    for (const auto& blk : st.flat->blocks)
-      clock_.advance(rt_->touch(rank_,
-                                static_cast<std::byte*>(st.buf) + blk.offset,
-                                blk.length, /*write=*/true));
+    rt_->touch(st.buf, st.flat->blocks, clock_);
   } else if (st.bytes > 0) {
     std::memcpy(st.buf, env.data.data(), st.bytes);
-    clock_.advance(rt_->touch(rank_, st.buf, st.bytes, /*write=*/true));
+    rt_->touch(st.buf, st.bytes, clock_);
   }
   req.state_.reset();
 }

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -209,6 +210,24 @@ struct CommCounters {
   void reset() { *this = CommCounters{}; }
 };
 
+/// Allocator whose value-less construct() default-initializes, so resizing
+/// a payload allocates without zero-filling: every payload byte is written
+/// by the send's memcpy or datatype gather before anything reads it.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 /// One in-flight message as the runtime's mailboxes carry it. The
 /// integrity fields (seq / checksum / sent_bytes / dropped) are stamped and
 /// verified only while a FaultInjector is installed on the Runtime; they
@@ -216,7 +235,7 @@ struct CommCounters {
 struct Envelope {
   int src = 0;
   int tag = 0;
-  std::vector<std::byte> data;
+  std::vector<std::byte, DefaultInitAllocator<std::byte>> data;
   double arrival = 0.0;  ///< receiver-visible virtual arrival time
   std::uint64_t seq = 0;        ///< per (src, dst, tag) send ordinal, from 1
   std::uint64_t checksum = 0;   ///< FNV-1a of the payload as sent
@@ -373,9 +392,12 @@ class Comm {
 struct MemHooks {
   /// Classify a pointer (default: everything is Host).
   std::function<MemSpace(const void*)> classify;
-  /// Called when rank-side CPU/NIC code touches [p, p+bytes); returns extra
-  /// seconds to charge to that rank's clock (e.g. UM fault migration).
-  std::function<double(int rank, const void* p, std::size_t bytes, bool write)>
+  /// Called when rank-side CPU/NIC code touches the blocks of one message,
+  /// [base + b.offset, base + b.offset + b.length) in order; advances the
+  /// rank's `clock` by each block's extra seconds (e.g. UM fault migration)
+  /// in block order. One call per message or datatype, not per block.
+  std::function<void(const void* base, std::span<const FlatType::Block> blocks,
+                     VClock& clock)>
       touch;
 };
 
@@ -472,8 +494,13 @@ class Runtime {
   MemSpace classify(const void* p) const {
     return hooks_.classify ? hooks_.classify(p) : MemSpace::Host;
   }
-  double touch(int rank, const void* p, std::size_t bytes, bool write) const {
-    return hooks_.touch ? hooks_.touch(rank, p, bytes, write) : 0.0;
+  void touch(const void* base, std::span<const FlatType::Block> blocks,
+             VClock& clock) const {
+    if (hooks_.touch) hooks_.touch(base, blocks, clock);
+  }
+  void touch(const void* p, std::size_t bytes, VClock& clock) const {
+    const FlatType::Block whole{0, bytes};
+    touch(p, {&whole, 1}, clock);
   }
 
   int nranks_;

@@ -2,7 +2,9 @@
 #
 # Runs BIN with ARGS, captures stdout to OUT, and compares it
 # byte-for-byte against the checked-in GOLDEN file. stderr is not part of
-# the contract (the harness prints environment warnings there).
+# the contract (the harness prints environment warnings there). With
+# -DDROP=<regex>, golden lines matching the regex are left out of the
+# comparison (for a run that prints a subset of another run's golden).
 #
 # To regenerate a golden after an intentional output change:
 #   cmake -DBIN=build/bench/table1_messages "-DARGS=-s;16" \
@@ -24,6 +26,10 @@ if(NOT rc EQUAL 0)
           "golden_check: ${BIN} exited with ${rc}\nstderr:\n${stderr_text}")
 endif()
 
+if(UPDATE AND DROP)
+  message(FATAL_ERROR "golden_check: regenerate ${GOLDEN} from the full run "
+                      "(without -DDROP)")
+endif()
 if(UPDATE)
   configure_file(${OUT} ${GOLDEN} COPYONLY)
   message(STATUS "golden_check: updated ${GOLDEN}")
@@ -35,11 +41,18 @@ if(NOT EXISTS ${GOLDEN})
                       "(regenerate with -DUPDATE=1)")
 endif()
 
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${GOLDEN}
+set(expected ${GOLDEN})
+if(DROP)
+  file(READ ${GOLDEN} text)
+  string(REGEX REPLACE "[^\n]*${DROP}[^\n]*\n" "" text "${text}")
+  set(expected ${OUT}.expected)
+  file(WRITE ${expected} "${text}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${expected}
                 RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR
-          "golden_check: stdout differs from ${GOLDEN}\n"
-          "inspect with: diff ${GOLDEN} ${OUT}\n"
+          "golden_check: stdout differs from ${expected}\n"
+          "inspect with: diff ${expected} ${OUT}\n"
           "if the change is intentional, regenerate with -DUPDATE=1")
 endif()

@@ -138,6 +138,83 @@ TEST(Device, KernelRoofline) {
   EXPECT_NEAR(t_flop, (1 << 20) * 1e6 / 7.8e12 + m.launch_overhead, 1e-6);
 }
 
+// One buffer carved into a unified range, a device range, unregistered
+// host memory and an alias of unified pages 4..7, all addressed by block
+// offsets from the buffer base.
+struct CarvedBuffer {
+  static constexpr std::size_t kPage = 4096;
+  std::vector<std::byte> buf = std::vector<std::byte>(28 * kPage);
+  Device dev{small_pages()};
+  CarvedBuffer() {
+    std::byte* b = buf.data();
+    dev.register_range(b, 16 * kPage, mpi::MemSpace::Unified);
+    dev.register_range(b + 16 * kPage, 4 * kPage, mpi::MemSpace::Device);
+    dev.register_alias(b + 24 * kPage, 4 * kPage, b + 4 * kPage);
+  }
+  ~CarvedBuffer() {
+    std::byte* b = buf.data();
+    dev.unregister_range(b + 24 * kPage);
+    dev.unregister_range(b + 16 * kPage);
+    dev.unregister_range(b);
+  }
+};
+
+TEST(Device, BatchedTouchEqualsPerBlockSequence) {
+  constexpr std::size_t P = CarvedBuffer::kPage;
+  const std::vector<Device::Block> blocks = {
+      {100, 300},              // unaligned, inside page 0
+      {P - 50, 100},           // straddles pages 0|1
+      {2 * P, P},              // one whole page
+      {3 * P + 7, 2 * P},      // unaligned, three pages
+      {0, 0},                  // empty
+      {16 * P + 8, 64},        // device range: never faults
+      {20 * P + 5, 100},       // unregistered host memory: free
+      {24 * P + 10, 5000},     // alias of unified pages 4..5
+      {26 * P, P},             // alias, whole page 6
+      {15 * P + 4000, 200},    // last unified page, unaligned tail
+      {100, 300},              // repeat: already host-resident
+  };
+  CarvedBuffer one, batch;
+  const double t0 = 3.7e-4;  // a rank clock that is already running
+
+  double t_one = t0;
+  for (const Device::Block& b : blocks)
+    t_one += one.dev.touch_host(one.buf.data() + b.offset, b.length);
+  mpi::VClock clock;
+  clock.advance(t0);
+  batch.dev.touch_host(batch.buf.data(), blocks, clock);
+  EXPECT_EQ(clock.now(), t_one);
+  EXPECT_GT(clock.now(), t0);
+  EXPECT_EQ(batch.dev.pages_migrated(), one.dev.pages_migrated());
+
+  // The host touches left fragmented pages; a following kernel pays their
+  // extra fault cost identically on both devices.
+  const std::int64_t before = one.dev.pages_migrated();
+  const double k_one = one.dev.touch_device(one.buf.data(), 16 * P);
+  const double k_batch = batch.dev.touch_device(batch.buf.data(), 16 * P);
+  EXPECT_EQ(k_batch, k_one);
+  EXPECT_EQ(batch.dev.pages_migrated(), one.dev.pages_migrated());
+  const GpuModel m = small_pages();
+  const auto moved = static_cast<double>(one.dev.pages_migrated() - before);
+  EXPECT_GT(k_one, moved * (m.fault_per_page + P / m.link_bw));
+
+  // Device-side batch against the per-block running sum, from a kernel's
+  // own seconds, after the host pulls the pages back once more.
+  for (const Device::Block& b : blocks) {
+    (void)one.dev.touch_host(one.buf.data() + b.offset, b.length);
+    (void)batch.dev.touch_host(batch.buf.data() + b.offset, b.length);
+  }
+  const double kernel = 1.25e-5;
+  double s_one = kernel;
+  for (const Device::Block& b : blocks)
+    s_one += one.dev.touch_device(one.buf.data() + b.offset, b.length);
+  double s_batch = kernel;
+  batch.dev.touch_device(batch.buf.data(), blocks, s_batch);
+  EXPECT_EQ(s_batch, s_one);
+  EXPECT_GT(s_one, kernel);
+  EXPECT_EQ(batch.dev.pages_migrated(), one.dev.pages_migrated());
+}
+
 TEST(Device, HooksDriveSimmpi) {
   // A UM buffer on rank 0 is sent to rank 1: the send must charge fault
   // time (device->host migration) on top of the wire cost.
