@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: the full tier-1 suite on the default preset, then the
 # fast `unit`-labeled tests again under ASan+UBSan plus a bounded fuzz
-# sweep (the sanitizer pass skips the slow ctest sweeps to keep wall time
-# bounded; run them by hand with `ctest --preset asan-ubsan` when touching
-# the runtime or exchangers).
+# sweep, then the shared-state tests under TSan (the sanitizer passes skip
+# the slow ctest sweeps to keep wall time bounded; run them by hand with
+# `ctest --preset asan-ubsan` when touching the runtime or exchangers).
 #
 # Usage: scripts/ci.sh [jobs]   (default: nproc)
 set -euo pipefail
@@ -84,6 +84,19 @@ echo "=== asan-ubsan preset: bounded fuzz sweep ==="
 # and partitioned replay per config, so this is where a lifetime error in
 # that path would surface. Sized to about two minutes.
 build-asan/src/check/check_fuzz --iters=150 --seed=1
+
+echo "=== tsan preset: configure + build (gpusim, simmpi, harness, result matrix) ==="
+# Thread-sanitizer pass over the state rank threads share: the one
+# gpu::Device every rank charges UM page touches to (one lock per message
+# or kernel sweep), the runtime mailboxes that hand envelopes between rank
+# threads, and whole harness runs over both. The build preset compiles only
+# these test binaries and the test preset selects their tests (plus both
+# result-matrix goldens), which keeps the pass to a few minutes.
+cmake --preset tsan
+cmake --build --preset tsan -j "$jobs"
+
+echo "=== tsan preset: gpusim, simmpi, harness and result-matrix tests ==="
+ctest --preset tsan -j "$jobs"
 
 echo "=== forced-scalar build (BRICKX_SIMD_WIDTH=1): simd + perf gates ==="
 # The width-1 override must stay a first-class build: every SIMD dispatch
