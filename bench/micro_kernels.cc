@@ -43,9 +43,6 @@
 #ifndef BRICKX_CXX_FLAGS
 #define BRICKX_CXX_FLAGS "unknown"
 #endif
-#ifndef BRICKX_NATIVE_FLAG
-#define BRICKX_NATIVE_FLAG 0
-#endif
 
 #if defined(__clang__)
 #define BRICKX_COMPILER_ID "clang"
@@ -311,8 +308,8 @@ struct KernelPoint {
   double seconds = 0;
   /// Vector lanes of the measured path: 0 for naive (per-access), 1 for
   /// the scalar fast tiles (and the autovectorized 7-point array rows),
-  /// simd::kActiveWidth for the explicit-SIMD tier (brick tiles and the
-  /// register-blocked 125-point array kernel).
+  /// simd::dispatch_width() for the explicit-SIMD tier (brick tiles and
+  /// the register-blocked 125-point array kernel) as this process runs it.
   int width = 0;
   /// Coupled AoSoA fields evolved per application (cells scales with it).
   int fields = 1;
@@ -351,30 +348,29 @@ void measure_bricks(std::vector<KernelPoint>& out, std::int64_t n) {
   const Box<3> box{{0, 0, 0}, {n, n, n}};
   const std::int64_t cells = n * n * n;
   // Three paths per kernel: naive per-access, the scalar fast tiles
-  // (forced W=1), and the explicit-SIMD tier at the build's active width.
-  // All three are bit-identical; only throughput differs.
+  // (forced W=1), and the production entry point, which runs the
+  // explicit-SIMD tier at the dispatched width (DESIGN.md §16). All three
+  // are bit-identical; only throughput differs.
   for (bool use125 : {false, true}) {
     for (const char* path : {"naive", "fast", "simd"}) {
       KernelPoint pt{use125 ? "125pt" : "7pt", "brick", B, path, 0, 0, 0,
                      0,     1};
       const bool naive = std::strcmp(path, "naive") == 0;
       const bool vec = std::strcmp(path, "simd") == 0;
-      pt.width = naive ? 0 : (vec ? simd::kActiveWidth : 1);
+      pt.width = naive ? 0 : (vec ? simd::dispatch_width() : 1);
       measure(pt, cells, [&] {
         if (use125) {
           if (naive) {
             stencil::apply125_bricks_naive<B, B, B>(s.dec, bout, bin, box);
           } else if (vec) {
-            stencil::engine_apply125_simd<B, B, B, simd::kActiveWidth>(
-                s.dec, bout, bin, box);
+            stencil::engine_apply125<B, B, B>(s.dec, bout, bin, box);
           } else {
             stencil::engine_apply125_simd<B, B, B, 1>(s.dec, bout, bin, box);
           }
         } else if (naive) {
           stencil::apply7_bricks_naive<B, B, B>(s.dec, bout, bin, box);
         } else if (vec) {
-          stencil::engine_apply7_simd<B, B, B, simd::kActiveWidth>(s.dec, bout,
-                                                                   bin, box);
+          stencil::engine_apply7<B, B, B>(s.dec, bout, bin, box);
         } else {
           stencil::engine_apply7_simd<B, B, B, 1>(s.dec, bout, bin, box);
         }
@@ -410,7 +406,7 @@ void measure_expansion(std::vector<KernelPoint>& out, std::int64_t n) {
     for (bool brick : {true, false}) {
       KernelPoint pt{use125 ? "125pt" : "7pt", brick ? "brick" : "array",
                      brick ? B : 0, "expansion", 0, 0, 0,
-                     brick || use125 ? simd::kActiveWidth : 1, 1};
+                     brick || use125 ? simd::dispatch_width() : 1, 1};
       measure(pt, cells, [&] {
         for (const Box<3>& box : boxes) {
           if (brick && use125) {
@@ -449,17 +445,15 @@ void measure_fields(std::vector<KernelPoint>& out, std::int64_t n) {
     const Box<3> box{{0, 0, 0}, {n, n, n}};
     for (bool use125 : {false, true}) {
       KernelPoint pt{use125 ? "125pt" : "7pt", "brick", B, "simd", 0, 0, 0,
-                     simd::kActiveWidth, F};
+                     simd::dispatch_width(), F};
       measure(pt, n * n * n * F, [&] {
         for (int f = 0; f < F; ++f) {
           const std::int64_t off = f * dec.elements_per_brick();
           Brick<B, B, B> bin(&info, &in, off), bout(&info, &o, off);
           if (use125) {
-            stencil::engine_apply125_simd<B, B, B, simd::kActiveWidth>(
-                dec, bout, bin, box);
+            stencil::engine_apply125<B, B, B>(dec, bout, bin, box);
           } else {
-            stencil::engine_apply7_simd<B, B, B, simd::kActiveWidth>(dec, bout,
-                                                                     bin, box);
+            stencil::engine_apply7<B, B, B>(dec, bout, bin, box);
           }
         }
         benchmark::ClobberMemory();
@@ -480,7 +474,7 @@ void measure_arrays(std::vector<KernelPoint>& out, std::int64_t n) {
     for (bool naive : {true, false}) {
       KernelPoint pt{use125 ? "125pt" : "7pt", "array", 0,
                      naive ? "naive" : "fast", 0, 0, 0,
-                     naive ? 0 : (use125 ? simd::kActiveWidth : 1), 1};
+                     naive ? 0 : (use125 ? simd::dispatch_width() : 1), 1};
       measure(pt, cells, [&] {
         if (use125) {
           if (naive) {
@@ -529,8 +523,10 @@ int write_json(const std::string& file, bool self_check_passed) {
   std::fprintf(f, "  \"bench\": \"micro_kernels\",\n");
   // v2: build provenance block, per-result width/fields axes, the "simd"
   // path, and simd-vs-fast speedup ratios (DESIGN.md §16). v3: the
-  // "expansion" path (ghost-cell expansion schedule, clipped bricks).
-  std::fprintf(f, "  \"schema_version\": 3,\n");
+  // "expansion" path (ghost-cell expansion schedule, clipped bricks). v4:
+  // simd_isa / simd_active_width and the simd rows report the dispatched
+  // kernel copy (simd::dispatch_isa / dispatch_width); march_native is gone.
+  std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"build_type\": \"%s\",\n", BRICKX_BUILD_TYPE);
   // Provenance: trajectory points are only comparable when the toolchain
   // and vector configuration match — stamp everything that moves cells/s.
@@ -538,11 +534,9 @@ int write_json(const std::string& file, bool self_check_passed) {
   std::fprintf(f, "    \"compiler\": \"%s\",\n", BRICKX_COMPILER_ID);
   std::fprintf(f, "    \"compiler_version\": \"%s\",\n", __VERSION__);
   std::fprintf(f, "    \"cxx_flags\": \"%s\",\n", BRICKX_CXX_FLAGS);
-  std::fprintf(f, "    \"march_native\": %s,\n",
-               BRICKX_NATIVE_FLAG ? "true" : "false");
-  std::fprintf(f, "    \"simd_isa\": \"%s\",\n", simd::isa_name());
+  std::fprintf(f, "    \"simd_isa\": \"%s\",\n", simd::dispatch_isa());
   std::fprintf(f, "    \"simd_detected_width\": %d,\n", simd::kDetectedWidth);
-  std::fprintf(f, "    \"simd_active_width\": %d\n", simd::kActiveWidth);
+  std::fprintf(f, "    \"simd_active_width\": %d\n", simd::dispatch_width());
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"domain\": %lld,\n", static_cast<long long>(n));
   std::fprintf(f, "  \"self_check\": \"%s\",\n",
@@ -618,7 +612,7 @@ int write_json(const std::string& file, bool self_check_passed) {
       find_cells_per_s(pts, "125pt", "brick", 8, "simd") /
       find_cells_per_s(pts, "125pt", "brick", 8, "fast");
   std::printf("8^3 125-point simd-vs-fast speedup (W=%d): %.2fx\n",
-              simd::kActiveWidth, simd_headline);
+              simd::dispatch_width(), simd_headline);
   std::printf("micro_kernels: wrote %s\n", file.c_str());
   return 0;
 }

@@ -3,11 +3,11 @@
 #   BENCH_kernels.json       -- micro_kernels with its built-in bit-exactness
 #                               self-check (cells/s per kernel x brick size
 #                               x path — naive vs scalar-fast vs explicit
-#                               SIMD at the build's active width — plus the
+#                               SIMD at the dispatched width — plus the
 #                               AoSoA field-count axis and a build
 #                               provenance block: compiler, flags,
-#                               -march=native, detected/active vector
-#                               width). The micro_simd differential width
+#                               detected width, dispatched vector width
+#                               and ISA). The micro_simd differential width
 #                               self-check runs first as a gate.
 #   BENCH_critical_path.json -- trace_analyze --suite: critical-path
 #                               composition, wait states and overlap headroom

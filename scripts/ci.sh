@@ -64,6 +64,19 @@ echo "=== default preset: explicit-SIMD tier gate ==="
 # (all also in the full suite above).
 ctest --preset default -L simd
 
+echo "=== default preset: AVX2 kernel copy portability gate ==="
+# On x86-64 the stencil library also carries an -mavx2 copy of the kernel
+# engine, picked at run time on CPUs with AVX2 (DESIGN.md §16). A header
+# inline that copy emits out of line (a DVec method, Brick::field_data)
+# could be the one the linker keeps for the whole program, and would fault
+# on a CPU without AVX2 -- which no test on an AVX2 host can catch. The
+# gate disassembles the archive (objdump -d, demangled) and fails if any
+# function outside brickx::stencil::avx2 uses %ymm or another AVX2-only
+# instruction (also run as the simd_isa_portability ctest).
+if [[ "$(uname -m)" == x86_64 ]]; then
+  python3 scripts/check_isa_leaks.py build/src/stencil/libbrickx_stencil.a
+fi
+
 echo "=== benchmark self-test (perfbench) ==="
 # The repository benchmark builds its own package over src/ and is not a
 # ctest target, so a library change that breaks its build or its
@@ -85,24 +98,28 @@ echo "=== asan-ubsan preset: bounded fuzz sweep ==="
 # that path would surface. Sized to about two minutes.
 build-asan/src/check/check_fuzz --iters=150 --seed=1
 
-echo "=== tsan preset: configure + build (gpusim, simmpi, harness, result matrix) ==="
+echo "=== tsan preset: configure + build (gpusim, simmpi, harness, result matrix, transport, tune, fabric) ==="
 # Thread-sanitizer pass over the state rank threads share: the one
 # gpu::Device every rank charges UM page touches to (one lock per message
 # or kernel sweep), the runtime mailboxes that hand envelopes between rank
-# threads, and whole harness runs over both. The build preset compiles only
-# these test binaries and the test preset selects their tests (plus both
-# result-matrix goldens), which keeps the pass to a few minutes.
+# threads, whole harness runs over both, the shm-agg Aggregator's frame
+# sealing, the tuner's worker pool and memo cache, and the fabric's epoch
+# solve. The build preset compiles only these test binaries and the test
+# preset selects their tests (plus both result-matrix goldens), which keeps
+# the pass to a few minutes.
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
 
-echo "=== tsan preset: gpusim, simmpi, harness and result-matrix tests ==="
+echo "=== tsan preset: gpusim, simmpi, harness, result-matrix, transport, tune and fabric tests ==="
 ctest --preset tsan -j "$jobs"
 
 echo "=== forced-scalar build (BRICKX_SIMD_WIDTH=1): simd + perf gates ==="
 # The width-1 override must stay a first-class build: every SIMD dispatch
 # degenerates to the scalar fast tiles (clipped tiles and the 125-point
-# array strips run at width 1) and all bit-exactness gates still hold. This is the configuration the `fast` rows of BENCH_kernels.json
-# model and the fallback the alignment guard selects at runtime.
+# array strips run at width 1), no AVX2 copy is built or dispatched to, and
+# all bit-exactness gates still hold. This is the configuration the `fast`
+# rows of BENCH_kernels.json model and the fallback the alignment guard
+# selects at runtime.
 cmake -S . -B build-scalar -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBRICKX_SIMD_WIDTH=1
 cmake --build build-scalar -j "$jobs"

@@ -11,14 +11,15 @@
 /// lacks), so every width in {1, 2, 4, 8} is instantiable — and
 /// differentially testable — in a single build, on any machine.
 ///
-/// Width resolution, in priority order:
+/// Compile-time width resolution, in priority order:
 ///   1. `-DBRICKX_SIMD_WIDTH=N` (the CMake cache option of the same name),
 ///      the forced override the scalar-fallback CI pass uses;
 ///   2. the target ISA the translation unit is compiled for:
 ///      AVX-512 -> 8, AVX/AVX2 -> 4, SSE2/NEON -> 2, anything else -> 1.
 ///
 /// The detected width is kept separately from the active one so build
-/// provenance (BENCH_kernels.json) can record both.
+/// provenance (BENCH_kernels.json) can record both. At run time the kernel
+/// engine may go wider than kActiveWidth: see dispatch_width().
 
 #if defined(__AVX512F__)
 #define BRICKX_SIMD_DETECTED 8
@@ -31,7 +32,10 @@
 #define BRICKX_SIMD_DETECTED 1
 #endif
 
-#if !defined(BRICKX_SIMD_WIDTH)
+#if defined(BRICKX_SIMD_WIDTH)
+#define BRICKX_SIMD_FORCED 1
+#else
+#define BRICKX_SIMD_FORCED 0
 #define BRICKX_SIMD_WIDTH BRICKX_SIMD_DETECTED
 #endif
 
@@ -47,12 +51,26 @@ inline constexpr int kActiveWidth = BRICKX_SIMD_WIDTH;
 /// Width the target ISA natively supports (ignores the override).
 inline constexpr int kDetectedWidth = BRICKX_SIMD_DETECTED;
 
+/// True when `-DBRICKX_SIMD_WIDTH` forced kActiveWidth; a forced width
+/// also turns runtime dispatch off.
+inline constexpr bool kWidthForced = BRICKX_SIMD_FORCED;
+
 /// Storage alignment (bytes) that satisfies every supported width — one
 /// AVX-512 vector. BrickStorage heap allocations honor this.
 inline constexpr std::size_t kAlign = 64;
 
-/// Name of the vector ISA this translation unit targets (provenance).
+/// Name of the vector ISA the baseline build targets (provenance).
 const char* isa_name();
+
+/// Doubles per vector the kernel engine's production entry points run at
+/// in this process (DESIGN.md §16). 4 when the build carries the engine's
+/// AVX2 copy (x86-64, width not forced, baseline narrower than 4) and the
+/// CPU executes AVX2; kActiveWidth otherwise. Resolved once per process.
+int dispatch_width();
+
+/// ISA of dispatch_width(): "avx2" when the AVX2 copy runs, else
+/// isa_name().
+const char* dispatch_isa();
 
 /// True when `p` can be the base of width-`w` aligned vector stores.
 inline bool lane_aligned(const void* p, int w) {

@@ -48,9 +48,10 @@ Box<3> brick_grid_range(const BrickDecomp<3>& dec, const Box<3>& out_cells);
 /// naive apply7_bricks / apply125_bricks bodies (stencils.cc delegates
 /// here). Bit-identical to the naive kernels by construction; verified by
 /// tests/stencil_kernel_test.cc. These dispatch every tile to the
-/// explicit-SIMD path at simd::kActiveWidth (DESIGN.md §16); the
-/// forced-width *_simd variants below expose every width for differential
-/// testing and the width axis of BENCH_kernels.json.
+/// explicit-SIMD path at simd::dispatch_width(): the engine's AVX2 copy on
+/// a CPU with AVX2, else simd::kActiveWidth (DESIGN.md §16). The
+/// forced-width *_simd variants below run the baseline copy at every width
+/// for differential testing and the width axis of BENCH_kernels.json.
 template <int BK, int BJ, int BI>
 void engine_apply7(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
                    const Brick<BK, BJ, BI>& in, const Box<3>& out_cells);
@@ -103,7 +104,7 @@ const char* simd_brick_reason(const Brick<BK, BJ, BI>& br, int w) {
 }
 
 /// Fast lexicographic-array kernels (row-pointer inner loops; the
-/// 125-point kernel register-blocked at simd::kActiveWidth). `in` must
+/// 125-point kernel register-blocked at simd::dispatch_width()). `in` must
 /// cover `out_cells` expanded by the stencil radius; `out` must cover
 /// `out_cells`.
 void engine_apply7_array(const CellArray3& in, CellArray3& out,

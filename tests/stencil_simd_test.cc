@@ -1,12 +1,14 @@
 // Differential property suite for the explicit-SIMD kernel tier
-// (DESIGN.md §16): every width in {1, 2, 4, 8} must be bit-identical to
-// the naive per-access kernels over the stencil_boxes.h matrix (expansion
-// steps, overlap interior and shell, slabs, off-lane x clips, frame-edge
-// corners, empty) × both stencils × both brick sizes × 1 or 3 AoSoA
-// fields — widths the hardware lacks are compiler-emulated, so the whole
-// matrix runs in one build. Plus the ghost-zone check at every width, the
-// alignment guard (simd_storage_reason) unit-tested for every width, the
-// BrickStorage alignment contract, and the AoSoA per-field dispatch.
+// (DESIGN.md §16): every width in {1, 2, 4, 8}, and the dispatched
+// production entry points, must be bit-identical to the naive per-access
+// kernels over the stencil_boxes.h matrix (expansion steps, overlap
+// interior and shell, slabs, off-lane x clips, frame-edge corners, empty)
+// × both stencils × both brick sizes × 1 or 3 AoSoA fields — widths the
+// hardware lacks are compiler-emulated, so the whole matrix runs in one
+// build. The span kernels run the same box matrix. Plus the ghost-zone
+// check at every width, the runtime dispatch width, the alignment guard
+// (simd_storage_reason) unit-tested for every width, the BrickStorage
+// alignment contract, and the AoSoA per-field dispatch.
 
 #include "stencil/kernel_engine.h"
 
@@ -14,6 +16,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -70,6 +73,15 @@ void expect_widths_identical(const Box<3>& box, bool use125, int fields,
   check(2, [&](auto& o) { apply_simd<B, 2>(dec, o, bin, box, use125); });
   check(4, [&](auto& o) { apply_simd<B, 4>(dec, o, bin, box, use125); });
   check(8, [&](auto& o) { apply_simd<B, 8>(dec, o, bin, box, use125); });
+  // The production entry point, at the width this process dispatches to
+  // (the AVX2 copy on an AVX2 host, else the baseline copy).
+  check(simd::dispatch_width(), [&](auto& o) {
+    if (use125) {
+      engine_apply125<B, B, B>(dec, o, bin, box);
+    } else {
+      engine_apply7<B, B, B>(dec, o, bin, box);
+    }
+  });
 }
 
 template <int B>
@@ -100,6 +112,55 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(i.param) ? "p125" : "p7") + "_b" +
              std::to_string(std::get<1>(i.param));
     });
+
+/// The dispatched span kernels against the naive ones over the same box
+/// matrix, on a lexicographic frame the size of the bricks' allocated
+/// frame (every box's halo stays inside it).
+template <int B>
+void sweep_spans(bool use125) {
+  const std::int64_t g = B;
+  const Box<3> frame{Vec3::fill(-g), Vec3::fill(kTestDomain + g)};
+  const std::size_t n = static_cast<std::size_t>(frame.volume());
+  std::vector<double> in(n);
+  Rng rng(use125 ? 7000 : 8000);
+  for (double& v : in) v = rng.uniform() * 2.0 - 1.0;
+  for (const Box<3>& box : test_boxes<B>(use125, use125 ? 7100 : 8100)) {
+    std::vector<double> fast(n), naive(n);
+    if (use125) {
+      engine_apply125_span(frame, in.data(), fast.data(), box);
+      apply125_span_naive(frame, in.data(), naive.data(), box);
+    } else {
+      engine_apply7_span(frame, in.data(), fast.data(), box);
+      apply7_span_naive(frame, in.data(), naive.data(), box);
+    }
+    EXPECT_EQ(std::memcmp(fast.data(), naive.data(), n * sizeof(double)), 0)
+        << "span W=" << simd::dispatch_width() << " use125=" << use125
+        << " box=[" << box.lo[0] << "," << box.lo[1] << "," << box.lo[2]
+        << ")-[" << box.hi[0] << "," << box.hi[1] << "," << box.hi[2] << ")";
+  }
+}
+
+TEST(SimdDispatch, SpanKernelsMatchNaiveBitExactly) {
+  for (bool use125 : {false, true}) {
+    sweep_spans<4>(use125);
+    sweep_spans<8>(use125);
+  }
+}
+
+// The production entry points run 4 lanes exactly when the width is left
+// to auto-detection, the baseline build is narrower, and this CPU executes
+// AVX2; a forced BRICKX_SIMD_WIDTH (the forced-scalar CI pass) keeps the
+// compile-time width.
+TEST(SimdDispatch, WidthFollowsHostUnlessForced) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const bool avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool avx2 = false;
+#endif
+  const bool tier = !simd::kWidthForced && simd::kActiveWidth < 4 && avx2;
+  EXPECT_EQ(simd::dispatch_width(), tier ? 4 : simd::kActiveWidth);
+  EXPECT_STREQ(simd::dispatch_isa(), tier ? "avx2" : simd::isa_name());
+}
 
 /// `f` must raise Brick::at()'s ghost-zone error.
 template <typename F>
