@@ -45,6 +45,8 @@ int main(int argc, char** argv) {
   ap.add("--json-out", "write the BENCH_autotune.json trajectory", "");
   ap.add("--tuned-out", "write the first row's tuned-config artifact", "");
   ap.parse(argc, argv);
+  BX_CHECK(ap.get_int("--layout-budget") >= 1,
+           "--layout-budget must be at least 1");
 
   banner("Ablation: joint autotuner",
          "Tuned (layout, mapping, brick, page) vs the hand-picked fig11/"

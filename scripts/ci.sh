@@ -10,8 +10,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=${1:-$(nproc)}
 
-echo "=== default preset: configure + build ==="
-cmake --preset default
+echo "=== default preset: configure + build (warnings are errors) ==="
+# The default build is warning-free; keep it so. The flag is passed here,
+# not set in CMakePresets.json, so the sanitizer presets and a plain
+# `cmake -B build -S .` configure as before.
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j "$jobs"
 
 echo "=== default preset: full test suite ==="

@@ -1,6 +1,9 @@
 #include "core/layout.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
+#include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -114,62 +117,119 @@ LayoutSpec lexicographic_layout(int dims) {
 
 namespace {
 
+/// The search's view of a layout problem, built once per search: the
+/// regions and, for each region r, a bitmask dest(r) over neighbor indices
+/// (bit ν set iff region_sent_to(regions[r], regions[ν]); the neighbor
+/// directions are the surface signatures themselves). Layouts are index
+/// permutations into `regions`, valid by construction.
+class DestTable {
+ public:
+  explicit DestTable(std::vector<BitSet> regions)
+      : regions_(std::move(regions)),
+        words_((regions_.size() + 63) / 64),
+        // One trailing all-zero row stands for "no previous region".
+        dest_((regions_.size() + 1) * words_, 0) {
+    for (std::size_t r = 0; r < regions_.size(); ++r)
+      for (std::size_t nu = 0; nu < regions_.size(); ++nu)
+        if (region_sent_to(regions_[r], regions_[nu]))
+          dest_[r * words_ + nu / 64] |= std::uint64_t{1} << (nu % 64);
+  }
+
+  [[nodiscard]] std::size_t size() const { return regions_.size(); }
+
+  /// message_count of the layout `perm`: a run of {σ ⊇ ν} starts at
+  /// position k iff ν is a destination of perm[k] but not of perm[k-1], so
+  /// the runs summed over ν are Σ_k popcount(dest(perm[k]) & ~dest(perm[k-1])).
+  [[nodiscard]] std::int64_t count(const std::vector<int>& perm) const {
+    std::int64_t msgs = 0;
+    const std::uint64_t* prev = row(size());
+    for (const int r : perm) {
+      const std::uint64_t* cur = row(r);
+      for (std::size_t w = 0; w < words_; ++w)
+        msgs += std::popcount(cur[w] & ~prev[w]);
+      prev = cur;
+    }
+    return msgs;
+  }
+
+  [[nodiscard]] LayoutSpec layout(const std::vector<int>& perm) const {
+    LayoutSpec spec;
+    spec.order.reserve(perm.size());
+    for (const int r : perm) spec.order.push_back(regions_[r]);
+    return spec;
+  }
+
+ private:
+  [[nodiscard]] const std::uint64_t* row(std::size_t r) const {
+    return dest_.data() + r * words_;
+  }
+
+  std::vector<BitSet> regions_;
+  std::size_t words_;
+  std::vector<std::uint64_t> dest_;
+};
+
 /// Exhaustive search over permutations (feasible for D <= 2: 8! orders).
+/// Regions are sorted by raw() first, so next_permutation over indices
+/// visits the orders in raw() lexicographic order; the first minimum wins.
 LayoutSpec exhaustive(int dims) {
   auto regions = all_surface_signatures(dims);
   std::sort(regions.begin(), regions.end(),
             [](const BitSet& a, const BitSet& b) { return a.raw() < b.raw(); });
-  LayoutSpec best{regions};
-  std::int64_t best_msgs = message_count(best, dims);
-  std::vector<BitSet> perm = regions;
-  do {
-    LayoutSpec cand{perm};
-    const std::int64_t m = message_count(cand, dims);
+  const DestTable table(std::move(regions));
+  std::vector<int> perm(table.size());
+  std::iota(perm.begin(), perm.end(), 0);
+  std::vector<int> best = perm;
+  std::int64_t best_msgs = table.count(perm);
+  while (std::next_permutation(perm.begin(), perm.end())) {
+    const std::int64_t m = table.count(perm);
     if (m < best_msgs) {
       best_msgs = m;
-      best = cand;
+      best = perm;
     }
-  } while (std::next_permutation(
-      perm.begin(), perm.end(),
-      [](const BitSet& a, const BitSet& b) { return a.raw() < b.raw(); }));
-  return best;
+  }
+  return table.layout(best);
 }
 
 }  // namespace
 
 LayoutSpec optimize_layout(int dims, std::int64_t budget, std::uint64_t seed) {
+  BX_CHECK(budget >= 1,
+           "optimize_layout: budget must be at least 1 evaluation");
   if (dims <= 2) return exhaustive(dims);
 
   const std::int64_t bound = layout_message_lower_bound(dims);
+  const DestTable table(all_surface_signatures(dims));
+  const std::size_t n = table.size();
   Rng rng(seed);
-  LayoutSpec best;
+  std::vector<int> best;
   std::int64_t best_msgs = -1;
 
   // Randomized-restart hill climbing over pairwise swaps. The neighborhood
   // is small (|R|^2 swaps) and the objective landscape is benign enough
   // that a few restarts reach the Eq. 1 bound for D == 3.
   std::int64_t evals = 0;
+  std::vector<int> cur(n);
   while (evals < budget) {
-    LayoutSpec cur{all_surface_signatures(dims)};
+    std::iota(cur.begin(), cur.end(), 0);
     // Random shuffle start.
-    for (std::size_t i = cur.order.size(); i > 1; --i)
-      std::swap(cur.order[i - 1], cur.order[rng.below(i)]);
-    std::int64_t cur_msgs = message_count(cur, dims);
+    for (std::size_t i = n; i > 1; --i)
+      std::swap(cur[i - 1], cur[rng.below(i)]);
+    std::int64_t cur_msgs = table.count(cur);
     ++evals;
     bool improved = true;
     while (improved && evals < budget) {
       improved = false;
-      for (std::size_t i = 0; i + 1 < cur.order.size() && evals < budget; ++i) {
-        for (std::size_t j = i + 1; j < cur.order.size() && evals < budget;
-             ++j) {
-          std::swap(cur.order[i], cur.order[j]);
-          const std::int64_t m = message_count(cur, dims);
+      for (std::size_t i = 0; i + 1 < n && evals < budget; ++i) {
+        for (std::size_t j = i + 1; j < n && evals < budget; ++j) {
+          std::swap(cur[i], cur[j]);
+          const std::int64_t m = table.count(cur);
           ++evals;
           if (m < cur_msgs) {
             cur_msgs = m;
             improved = true;
           } else {
-            std::swap(cur.order[i], cur.order[j]);
+            std::swap(cur[i], cur[j]);
           }
         }
       }
@@ -180,7 +240,7 @@ LayoutSpec optimize_layout(int dims, std::int64_t budget, std::uint64_t seed) {
     }
     if (best_msgs == bound) break;  // provably optimal, stop early
   }
-  return best;
+  return table.layout(best);
 }
 
 }  // namespace brickx

@@ -53,7 +53,7 @@ LayoutSpec lexicographic_layout(int dims);
 /// Search for a low-message layout: exhaustive for D <= 2, randomized
 /// hill-climbing with restarts otherwise. Returns the best layout found
 /// within `budget` candidate evaluations (guaranteed optimal only for
-/// D <= 2). Deterministic for a fixed seed.
+/// D <= 2). Deterministic for a fixed seed. Throws Error if `budget` < 1.
 LayoutSpec optimize_layout(int dims, std::int64_t budget = 200000,
                            std::uint64_t seed = 1);
 

@@ -104,6 +104,8 @@ SearchSpace SearchSpace::standard(const harness::Config& problem,
                                   std::int64_t layout_budget,
                                   std::uint64_t layout_seed) {
   using harness::Method;
+  BX_CHECK(layout_budget >= 1,
+           "SearchSpace::standard: layout budget must be at least 1");
   SearchSpace s;
   const bool is_brick =
       problem.method == Method::Basic || problem.method == Method::Layout ||

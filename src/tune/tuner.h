@@ -105,7 +105,8 @@ struct SearchSpace {
   ///    the problem's page size alone otherwise.
   /// The hand-picked bench configs (surface3d, block, brick 8, page 0)
   /// are members whenever they are valid — the self-check's "tuned meets
-  /// or beats hand-picked" is structural, not statistical.
+  /// or beats hand-picked" is structural, not statistical. Throws Error
+  /// if `layout_budget` < 1, whatever the method.
   static SearchSpace standard(const harness::Config& problem,
                               std::int64_t layout_budget = 2000,
                               std::uint64_t layout_seed = 1);

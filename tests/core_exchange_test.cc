@@ -203,8 +203,9 @@ TEST(Exchange, PlanGroupsCoverEveryInstanceExactlyOnce) {
     // Every nonempty member region appears.
     for (int o = 0; o < dec.surface_region_count(); ++o) {
       const auto& r = dec.regions()[static_cast<std::size_t>(o)];
-      if (region_sent_to(r.sigma, nu) && r.brick_count > 0)
+      if (region_sent_to(r.sigma, nu) && r.brick_count > 0) {
         EXPECT_TRUE(seen.count(o));
+      }
     }
   }
   EXPECT_EQ(total_regions, basic_message_count(3));

@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "common/error.h"
 #include "tune/tuner.h"
 
 namespace brickx::tune {
@@ -131,6 +132,19 @@ TEST(EvalCache, CollisionCounterDetectsBucketConflicts) {
   (void)cache.lookup(kb);  // occupied bucket, different key
   EXPECT_EQ(cache.stats().collisions, 1);
   EXPECT_EQ(cache.stats().hits, 0);
+}
+
+// -------------------------------------------------------- search space ----
+
+TEST(SearchSpace, RejectsLayoutBudgetBelowOne) {
+  // An empty hill-climb result would otherwise join the space as a
+  // "hillclimb" layout the harness runs as surface3d under another key.
+  harness::Config problem = small_problem();
+  EXPECT_EQ(SearchSpace::standard(problem, 1).layouts.size(), 3u);
+  EXPECT_THROW((void)SearchSpace::standard(problem, 0), Error);
+  EXPECT_THROW((void)SearchSpace::standard(problem, -1), Error);
+  problem.method = harness::Method::Yask;  // no layout axis, same contract
+  EXPECT_THROW((void)SearchSpace::standard(problem, 0), Error);
 }
 
 // ---------------------------------------------------------------- tune ----

@@ -60,6 +60,8 @@ int main(int argc, char** argv) {
   ap.add("--layout-seed", "optimize_layout seed", "1");
   ap.add("--out", "artifact path", "tuned_config.json");
   ap.parse(argc, argv);
+  BX_CHECK(ap.get_int("--layout-budget") >= 1,
+           "--layout-budget must be at least 1");
 
   harness::Config problem;
   problem.machine = machine_arg(ap.get("--machine"));
